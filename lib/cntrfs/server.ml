@@ -51,6 +51,100 @@ type pt_slot = {
 
 module Metrics = Repro_obs.Metrics
 
+(* A path index: the values bound at each server path, plus the indexed
+   paths one '/' below it, so "everything at or under [dir]" is a walk down
+   from [dir] rather than a scan of the table.  A path stays linked into its
+   parent's child set while it holds values or children; missing ancestors
+   are linked on demand up to "/", so a subtree stays reachable when an
+   intermediate directory holds no value.  Parents are purely lexical (the
+   text before the last '/'), matching how the server builds paths with
+   [Pathx.concat]. *)
+module Pathidx : sig
+  type 'a t
+
+  val create : int -> 'a t
+
+  (* the values bound at exactly [path] ([] when none) *)
+  val get : 'a t -> string -> 'a list
+
+  (* replace the values at [path]; [] unbinds it *)
+  val set : 'a t -> string -> 'a list -> unit
+
+  (* every bound path at or under [dir], with its values *)
+  val subtree : 'a t -> string -> (string * 'a list) list
+end = struct
+  (* [kids] is allocated with the first child: most paths are files *)
+  type 'a node = {
+    mutable vals : 'a list;
+    mutable kids : (string, unit) Hashtbl.t option;
+  }
+
+  type 'a t = (string, 'a node) Hashtbl.t
+
+  let create n : 'a t = Hashtbl.create n
+
+  let parent p =
+    match String.rindex_opt p '/' with
+    | None | Some 0 -> "/"
+    | Some i -> String.sub p 0 i
+
+  let rec node t p =
+    match Hashtbl.find_opt t p with
+    | Some n -> n
+    | None ->
+        let n = { vals = []; kids = None } in
+        Hashtbl.replace t p n;
+        if p <> "/" then begin
+          let pn = node t (parent p) in
+          match pn.kids with
+          | Some kids -> Hashtbl.replace kids p ()
+          | None ->
+              let kids = Hashtbl.create 8 in
+              Hashtbl.replace kids p ();
+              pn.kids <- Some kids
+        end;
+        n
+
+  (* Drop [p] once it holds nothing, then its newly empty ancestors. *)
+  let rec prune t p n =
+    let childless =
+      match n.kids with None -> true | Some kids -> Hashtbl.length kids = 0
+    in
+    if n.vals = [] && childless then begin
+      Hashtbl.remove t p;
+      if p <> "/" then
+        let pp = parent p in
+        match Hashtbl.find_opt t pp with
+        | Some ({ kids = Some kids; _ } as pn) ->
+            Hashtbl.remove kids p;
+            prune t pp pn
+        | _ -> ()
+    end
+
+  let get t p = match Hashtbl.find_opt t p with Some n -> n.vals | None -> []
+
+  let set t p vals =
+    match vals, Hashtbl.find_opt t p with
+    | [], None -> ()
+    | [], Some n ->
+        n.vals <- [];
+        prune t p n
+    | _, Some n -> n.vals <- vals
+    | _, None -> (node t p).vals <- vals
+
+  let subtree t dir =
+    let rec walk p acc =
+      match Hashtbl.find_opt t p with
+      | None -> acc
+      | Some n ->
+          let acc = if n.vals = [] then acc else (p, n.vals) :: acc in
+          match n.kids with
+          | None -> acc
+          | Some kids -> Hashtbl.fold (fun kid () acc -> walk kid acc) kids acc
+    in
+    walk dir []
+end
+
 type t = {
   kernel : Kernel.t;
   proc : Proc.t;
@@ -65,6 +159,10 @@ type t = {
   ino_locks : Repro_sched.Sched.mutex array;
   hc_locks : Repro_sched.Sched.mutex array;
   inos : (int, entry) Hashtbl.t; (* driver ino -> entry *)
+  (* e_path -> the driver inos interned there: exactly the (e_path, ino)
+     pairs of [inos].  Several inos share a path when an unlinked entry
+     outlives its name and the name is recreated. *)
+  paths : int Pathidx.t;
   by_backing : (int, int) Hashtbl.t; (* backing st_ino -> driver ino *)
   fhs : (int, server_handle) Hashtbl.t;
   mutable next_ino : int;
@@ -73,7 +171,7 @@ type t = {
      validity windows stamped into READDIRPLUS replies *)
   hc_cap : int;
   hc : (int, hc_slot) Hashtbl.t; (* backing ino -> slot *)
-  hc_paths : (string, int) Hashtbl.t; (* path -> backing ino *)
+  hc_paths : int Pathidx.t; (* path -> [backing ino] *)
   mutable hc_tick : int;
   (* passthrough plane: live grants (capacity 0 = disabled) and the
      revocation counter, shared with the driver's registry entry *)
@@ -126,13 +224,14 @@ let create ?sched ~kernel ~proc ~root_path ?(handle_cache = 0) ?(valid_ns = (0, 
       ino_locks = Array.init shard_count (fun _ -> Repro_sched.Sched.mutex ());
       hc_locks = Array.init shard_count (fun _ -> Repro_sched.Sched.mutex ());
       inos = Hashtbl.create 256;
+      paths = Pathidx.create 16;
       by_backing = Hashtbl.create 256;
       fhs = Hashtbl.create 32;
       next_ino = 2;
       next_fh = 1;
       hc_cap = max 0 handle_cache;
       hc = Hashtbl.create 256;
-      hc_paths = Hashtbl.create 256;
+      hc_paths = Pathidx.create 256;
       hc_tick = 0;
       pt_cap = max 0 passthrough;
       pts = Hashtbl.create 16;
@@ -154,6 +253,7 @@ let create ?sched ~kernel ~proc ~root_path ?(handle_cache = 0) ?(valid_ns = (0, 
   in
   Hashtbl.replace t.inos root_ino
     { e_path = root_path; e_backing_ino = 0; e_handle = None; e_nlookup = 1 };
+  Pathidx.set t.paths root_path [ root_ino ];
   t
 
 let ( let* ) = Result.bind
@@ -175,6 +275,13 @@ let entry t ino =
 let path_of t ino =
   let* e = entry t ino in
   Ok e.e_path
+
+(* Keep [paths] in step with [inos]: every insert, removal or path change of
+   an entry goes through these two. *)
+let index t path ino = Pathidx.set t.paths path (ino :: Pathidx.get t.paths path)
+
+let unindex t path ino =
+  Pathidx.set t.paths path (List.filter (fun i -> i <> ino) (Pathidx.get t.paths path))
 
 (* setfsuid/setfsgid emulation: run [f] with the caller's uid/gid but the
    server's capabilities and rlimits. *)
@@ -236,7 +343,7 @@ let hc_insert t ~path ~(st : Types.stat) ~ino =
         let slot = { hc_ino = ino; hc_stat = st; hc_tick = 0 } in
         Hashtbl.replace t.hc st.Types.st_ino slot;
         hc_touch t slot;
-        Hashtbl.replace t.hc_paths path st.Types.st_ino;
+        Pathidx.set t.hc_paths path [ st.Types.st_ino ];
         hc_evict_if_full t)
 
 (* A known-valid slot for [path], or None.  Validity requires the slot to
@@ -249,9 +356,9 @@ let hc_insert t ~path ~(st : Types.stat) ~ino =
 let hc_find t path =
   if t.hc_cap = 0 then None
   else
-    match Hashtbl.find_opt t.hc_paths path with
-    | None -> None
-    | Some bino ->
+    match Pathidx.get t.hc_paths path with
+    | [] -> None
+    | bino :: _ ->
         with_hc t bino (fun () ->
             match Hashtbl.find_opt t.hc bino with
             | Some slot
@@ -273,33 +380,28 @@ let hc_invalidate_ino t ino =
 
 let hc_invalidate_path t path =
   if t.hc_cap > 0 then
-    match Hashtbl.find_opt t.hc_paths path with
-    | Some bino ->
+    match Pathidx.get t.hc_paths path with
+    | bino :: _ ->
         with_hc t bino (fun () ->
-            Hashtbl.remove t.hc_paths path;
+            Pathidx.set t.hc_paths path [];
             Hashtbl.remove t.hc bino)
-    | None -> ()
+    | [] -> ()
 
 (* Rename moves a whole subtree: drop everything at or under [dir].  The
-   collection pass is an unguarded scan; each removal re-takes its own
-   shard. *)
+   collection pass is an unguarded walk of [hc_paths] down from [dir], so it
+   touches only the cached paths in the subtree; each removal re-takes its
+   own shard. *)
 let hc_invalidate_subtree t dir =
-  if t.hc_cap > 0 then begin
-    let doomed =
-      Hashtbl.fold
-        (fun p bino acc ->
-          if p = dir || Option.is_some (Pathx.strip_prefix ~dir p) then
-            (p, bino) :: acc
-          else acc)
-        t.hc_paths []
-    in
+  if t.hc_cap > 0 then
     List.iter
-      (fun (p, bino) ->
-        with_hc t bino (fun () ->
-            Hashtbl.remove t.hc_paths p;
-            Hashtbl.remove t.hc bino))
-      doomed
-  end
+      (fun (p, binos) ->
+        List.iter
+          (fun bino ->
+            with_hc t bino (fun () ->
+                Pathidx.set t.hc_paths p [];
+                Hashtbl.remove t.hc bino))
+          binos)
+      (Pathidx.subtree t.hc_paths dir)
 
 (* --- passthrough grants --------------------------------------------------- *)
 
@@ -438,6 +540,7 @@ let intern t ~path ~(st : Types.stat) =
               e_handle = handle;
               e_nlookup = 1;
             };
+          index t path ino;
           Hashtbl.replace t.by_backing st.Types.st_ino ino;
           ino)
 
@@ -465,6 +568,9 @@ let restore t pairs =
                   (Kernel.name_to_handle_at t.kernel t.proc ~follow:false path)
             | _ -> None
           in
+          (match Hashtbl.find_opt t.inos ino with
+          | Some old -> unindex t old.e_path ino
+          | None -> ());
           Hashtbl.replace t.inos ino
             {
               e_path = path;
@@ -472,6 +578,7 @@ let restore t pairs =
               e_handle = handle;
               e_nlookup = max 1 nlookup;
             };
+          index t path ino;
           (match st.Types.st_kind with
           | Types.Dir -> ()
           | _ -> Hashtbl.replace t.by_backing st.Types.st_ino ino);
@@ -515,6 +622,7 @@ let handle_forget t pairs =
               e.e_nlookup <- e.e_nlookup - n;
               if e.e_nlookup <= 0 then begin
                 Hashtbl.remove t.inos ino;
+                unindex t e.e_path ino;
                 Hashtbl.remove t.by_backing e.e_backing_ino
               end);
           if e.e_nlookup <= 0 then hc_invalidate_backing t e.e_backing_ino
@@ -522,16 +630,30 @@ let handle_forget t pairs =
     pairs;
   Protocol.R_ok
 
-(* After a successful rename, every interned path under the source moves. *)
+(* The ino a rename onto [dst] displaces: the newest intern at [dst] (the
+   highest driver ino), since an unlinked-but-unforgotten entry can share
+   the path with its recreated successor. *)
+let displaced t dst =
+  match Pathidx.get t.paths dst with
+  | [] -> None
+  | inos -> Some (List.fold_left max min_int inos)
+
+(* After a successful rename, every interned path at or under [src] moves
+   to the same place under [dst].  Server paths are built by
+   [Pathx.concat] from single names, so "under [src]" is the plain prefix
+   [src ^ "/"] and the index walk visits only the moved entries.  All of
+   them are unbound before any is rebound, so the subtree may land on
+   entries still interned at or under [dst]. *)
 let remap_paths t ~src ~dst =
-  Hashtbl.iter
-    (fun _ e ->
-      if e.e_path = src then e.e_path <- dst
-      else
-        match Pathx.strip_prefix ~dir:src e.e_path with
-        | Some rest when rest <> "" -> e.e_path <- Pathx.concat dst rest
-        | _ -> ())
-    t.inos
+  let moved = Pathidx.subtree t.paths src in
+  List.iter (fun (p, _) -> Pathidx.set t.paths p []) moved;
+  let n = String.length src in
+  List.iter
+    (fun (p, inos) ->
+      let p' = dst ^ String.sub p n (String.length p - n) in
+      List.iter (fun ino -> (Hashtbl.find t.inos ino).e_path <- p') inos;
+      Pathidx.set t.paths p' (inos @ Pathidx.get t.paths p'))
+    moved
 
 let open_flags_for_server flags =
   (* The server opens with the caller's intent but never O_DIRECT (FUSE
@@ -626,13 +748,8 @@ let handle t (ctx : Protocol.ctx) (req : Protocol.req) : Protocol.resp =
         let* sdir = path_of t src_parent in
         let* ddir = path_of t dst_parent in
         let src = Pathx.concat sdir src_name and dst = Pathx.concat ddir dst_name in
-        (* whichever of our inos sat at [dst] is displaced by this rename;
-           found before [remap_paths] moves the src subtree onto that path *)
-        let replaced =
-          Hashtbl.fold
-            (fun ino e acc -> if String.equal e.e_path dst then Some ino else acc)
-            t.inos None
-        in
+        (* found before [remap_paths] moves the src subtree onto [dst] *)
+        let replaced = displaced t dst in
         let* () = with_fsuid t ctx (fun () -> Kernel.rename k p ~src ~dst) in
         remap_paths t ~src ~dst;
         (* the moved subtree's cached paths are all stale, the replaced

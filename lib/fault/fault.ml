@@ -299,11 +299,6 @@ let parse text =
   | Some e -> Error e
   | None -> Ok ({ seed = !seed; rules = List.rev !rules }, !retry)
 
-let of_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> parse text
-  | exception Sys_error msg -> Error msg
-
 let trigger_to_string = function
   | Nth n -> Printf.sprintf "nth=%d" n
   | Every n -> Printf.sprintf "every=%d" n

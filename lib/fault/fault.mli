@@ -130,5 +130,4 @@ val action_label : action -> string
     v} *)
 
 val parse : string -> (plan * retry option, string) result
-val of_file : string -> (plan * retry option, string) result
 val to_string : plan -> string

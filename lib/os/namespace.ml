@@ -39,15 +39,6 @@ type user_ns = {
   mutable gid_map : mapping list;
 }
 
-(* Translate an in-namespace id to a host id through a map. *)
-let map_to_host map id =
-  List.find_map
-    (fun m ->
-      if id >= m.inside && id < m.inside + m.count then
-        Some (m.outside + (id - m.inside))
-      else None)
-    map
-
 let map_to_ns map host_id =
   List.find_map
     (fun m ->

@@ -26,6 +26,5 @@ type user_ns = {
   mutable gid_map : mapping list;
 }
 
-val map_to_host : mapping list -> int -> int option
 val map_to_ns : mapping list -> int -> int option
 val identity_map : mapping list

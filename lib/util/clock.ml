@@ -9,8 +9,6 @@ let create () = { now_ns = 0L }
 (* Current virtual time in nanoseconds since the world was created. *)
 let now_ns t = t.now_ns
 
-let now_s t = Int64.to_float t.now_ns /. 1e9
-
 (* Advance the clock by [ns] nanoseconds of simulated work. *)
 let consume t ns =
   if ns > 0L then t.now_ns <- Int64.add t.now_ns ns

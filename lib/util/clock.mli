@@ -9,8 +9,6 @@ val create : unit -> t
 (** Nanoseconds of virtual time since the world was created. *)
 val now_ns : t -> int64
 
-val now_s : t -> float
-
 (** Advance the clock by [ns] nanoseconds of simulated work (non-negative
     amounts only; negatives are ignored). *)
 val consume : t -> int64 -> unit
