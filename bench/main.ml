@@ -20,6 +20,12 @@ let section title =
   Printf.printf "%s\n" title;
   Printf.printf "==========================================================\n%!"
 
+let write_file path text =
+  let oc = open_out path in
+  output_string oc text;
+  output_char oc '\n';
+  close_out oc
+
 (* --- E1: xfstests ----------------------------------------------------------- *)
 
 let e1 () =
@@ -48,20 +54,6 @@ let e1 () =
 
 (* --- E2: Figure 2 ------------------------------------------------------------ *)
 
-(* `--json`: experiments that have a JSON form additionally write a
-   BENCH_<exp>.json file into the current directory (the repo root, when
-   run via `dune exec` from there).  Everything in those files derives from
-   the virtual clock and the fixed workload seeds, so two runs produce
-   byte-identical bytes. *)
-let json_mode = ref false
-
-let write_json_file path content =
-  let oc = open_out path in
-  output_string oc content;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
-
 let e2 () =
   section "E2 (Figure 2) Phoronix suite: relative overhead of CntrFS (lower is better)";
   Printf.printf "%-22s %8s %10s   %s\n" "benchmark" "paper" "measured" "";
@@ -81,19 +73,13 @@ let e2 () =
       Repro_workloads.Suite.figure2
   in
   Printf.printf "\n%d out of 20 benchmarks at or below 1.5x (paper: 13/20 below 1.5x)\n%!" !within;
-  if !json_mode then begin
-    let buf = Buffer.create 2048 in
-    Buffer.add_string buf "{\n  \"experiment\": \"e2\",\n  \"metric\": \"relative overhead (cntrfs/native)\",\n  \"workloads\": [\n";
-    List.iteri
-      (fun i (name, paper, measured) ->
-        Buffer.add_string buf
-          (Printf.sprintf "    {\"name\": \"%s\", \"paper\": %.1f, \"measured\": %.4f}%s\n"
-             (Repro_obs.Metrics.json_escape name) paper measured
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf "  ]\n}";
-    write_json_file "BENCH_e2.json" (Buffer.contents buf)
-  end
+  let row (name, paper, measured) =
+    Jsonx.(Obj [ ("name", Str name); ("paper", Dec (1, paper)); ("measured", Dec (4, measured)) ])
+  in
+  Jsonx.(
+    Obj
+      [ ("experiment", Str "e2"); ("metric", Str "relative overhead (cntrfs/native)");
+        ("workloads", List (List.map row rows)) ])
 
 (* E2 smoke mode: one workload per family through the CntrFS backend, all
    feeding one shared registry, dumped as BENCH_smoke.json.  Runs under
@@ -119,12 +105,8 @@ let e2_smoke () =
       in
       Printf.printf "  %-22s %12d virtual ns\n%!" w.Repro_workloads.Bench_env.w_name ns)
     smoke;
-  let json = Repro_obs.Obs.to_json obs in
-  let oc = open_out "BENCH_smoke.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
   let metrics = Repro_obs.Obs.metrics obs in
+  write_file "BENCH_smoke.json" (Jsonx.to_string (Repro_obs.Metrics.to_json metrics));
   let c name = Repro_obs.Metrics.counter_value metrics name in
   Printf.printf
     "wrote BENCH_smoke.json: %d workloads, %d fuse requests, %d syscalls, %d lookups\n%!"
@@ -195,21 +177,17 @@ let e2a () =
       end)
     measured;
   if !fail then exit 1;
-  if !json_mode then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf
-      "{\n  \"experiment\": \"e2a\",\n  \"metric\": \"relative overhead (cntrfs/native) per data-path config\",\n  \"workloads\": [\n";
-    List.iteri
-      (fun i (name, c, s, p) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"name\": \"%s\", \"copy\": %.4f, \"splice\": %.4f, \"splice_passthrough\": %.4f}%s\n"
-             (Repro_obs.Metrics.json_escape name) c s p
-             (if i = List.length measured - 1 then "" else ",")))
-      measured;
-    Buffer.add_string buf "  ]\n}";
-    write_json_file "BENCH_e2a.json" (Buffer.contents buf)
-  end
+  let row (name, c, s, p) =
+    Jsonx.(
+      Obj
+        [ ("name", Str name); ("copy", Dec (4, c)); ("splice", Dec (4, s));
+          ("splice_passthrough", Dec (4, p)) ])
+  in
+  Jsonx.(
+    Obj
+      [ ("experiment", Str "e2a");
+        ("metric", Str "relative overhead (cntrfs/native) per data-path config");
+        ("workloads", List (List.map row measured)) ])
 
 (* --- E3: Figure 3 ------------------------------------------------------------ *)
 
@@ -273,36 +251,27 @@ let e4 () =
   let total_steals = List.fold_left (fun a c -> a + c.cp_steals) 0 contended in
   check (total_steals > 0) "contended sweep recorded no steals";
   if !fail then exit 1;
-  if !json_mode then begin
-    (* Everything below derives from the virtual clock and the fixed
-       workload, so two runs write byte-identical files (the determinism
-       test in test/test_workloads.ml relies on it). *)
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf
-      "{\n  \"experiment\": \"e4\",\n  \"metric\": \"sequential read throughput \
-       [MB/s] vs CntrFS server threads\",\n  \"points\": [\n";
-    List.iteri
-      (fun i p ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"threads\": %d, \"mbps\": %.4f, \"relative\": %.6f}%s\n"
-             p.tp_threads p.tp_mbps (p.tp_mbps /. base)
-             (if i = List.length points - 1 then "" else ",")))
-      points;
-    Buffer.add_string buf "  ],\n  \"contended\": [\n";
-    List.iteri
-      (fun i c ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"threads\": %d, \"mbps\": %.4f, \"steals\": %d, \
-              \"steal_fails\": %d, \"local_hits\": %d}%s\n"
-             c.cp_threads c.cp_mbps c.cp_steals c.cp_steal_fails c.cp_local_hits
-             (if i = List.length contended - 1 then "" else ",")))
-      contended;
-    Buffer.add_string buf
-      (Printf.sprintf "  ],\n  \"drop_at_16_threads_pct\": %.4f\n}" drop);
-    write_json_file "BENCH_e4.json" (Buffer.contents buf)
-  end
+  (* Everything below derives from the virtual clock and the fixed
+     workload, so two runs write byte-identical files (the determinism
+     test in test/test_workloads.ml relies on it). *)
+  let point p =
+    Jsonx.(
+      Obj
+        [ ("threads", Int p.tp_threads); ("mbps", Dec (4, p.tp_mbps));
+          ("relative", Dec (6, p.tp_mbps /. base)) ])
+  and contended_row c =
+    Jsonx.(
+      Obj
+        [ ("threads", Int c.cp_threads); ("mbps", Dec (4, c.cp_mbps)); ("steals", Int c.cp_steals);
+          ("steal_fails", Int c.cp_steal_fails); ("local_hits", Int c.cp_local_hits) ])
+  in
+  Jsonx.(
+    Obj
+      [ ("experiment", Str "e4");
+        ("metric", Str "sequential read throughput [MB/s] vs CntrFS server threads");
+        ("points", List (List.map point points));
+        ("contended", List (List.map contended_row contended));
+        ("drop_at_16_threads_pct", Dec (4, drop)) ])
 
 (* --- E5: Figure 5 ------------------------------------------------------------ *)
 
@@ -407,7 +376,12 @@ let e5r () =
   Printf.printf "  steals: %d (fails %d), local hits: %d\n%!" stats.Sweep.sw_steals
     stats.Sweep.sw_steal_fails stats.Sweep.sw_local_hits;
   if stats.Sweep.sw_steals <= 0 then fail "work-stealing sweep recorded no steals";
-  if stats.Sweep.sw_images_per_s <= 0.0 then fail "non-positive slimming throughput";
+  (* the table prints images_per_s with two decimals: below 0.005 it would
+     read as 0.00, so the gate rejects that as well as non-positive rates *)
+  if stats.Sweep.sw_images_per_s < 0.005 then
+    fail
+      (Printf.sprintf "slimming throughput %g images/s prints as 0.00"
+         stats.Sweep.sw_images_per_s);
   if Repro_obs.Metrics.counter_value metrics "sched.steals" <> stats.Sweep.sw_steals then
     fail "sched.steals metric does not mirror the pool counter";
   (* 4. the reduction distribution *)
@@ -455,36 +429,35 @@ let e5r () =
       (Family.representatives ~n:e5r_n)
   in
   Printf.printf "%!";
-  if !json_mode then begin
-    let buf = Buffer.create 2048 in
-    Buffer.add_string buf
-      (Printf.sprintf "{\n  \"experiment\": \"e5r\",\n  \"n\": %d,\n" n);
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"store\": {\"chunks_total\": %d, \"chunks_unique\": %d, \"bytes_logical\": %d, \"bytes_physical\": %d, \"dedup_ratio\": %.4f},\n"
-         (Store.total_chunks store) (Store.unique_chunks store) (Store.logical_bytes store)
-         (Store.physical_bytes store) dedup);
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"sweep\": {\"workers\": %d, \"images\": %d, \"elapsed_ns\": %Ld, \"images_per_s\": %.2f, \"steals\": %d, \"steal_fails\": %d, \"local_hits\": %d},\n"
-         stats.Sweep.sw_workers stats.Sweep.sw_images stats.Sweep.sw_elapsed_ns
-         stats.Sweep.sw_images_per_s stats.Sweep.sw_steals stats.Sweep.sw_steal_fails
-         stats.Sweep.sw_local_hits);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"static\": {\"mean_reduction\": %.2f, \"histogram\": [%s]},\n" mean
-         (String.concat ", " (Array.to_list (Array.map string_of_int counts))));
-    Buffer.add_string buf "  \"families\": [\n";
-    List.iteri
-      (fun i (name, dynamic, static, valid) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"family\": \"%s\", \"dynamic_reduction\": %.4f, \"static_reduction\": %.4f, \"static_valid\": %b}%s\n"
-             name dynamic static valid
-             (if i = List.length family_rows - 1 then "" else ",")))
-      family_rows;
-    Buffer.add_string buf "  ]\n}";
-    write_json_file "BENCH_e5r.json" (Buffer.contents buf)
-  end
+  let family (name, dynamic, static, valid) =
+    Jsonx.(
+      Obj
+        [ ("family", Str name); ("dynamic_reduction", Dec (4, dynamic));
+          ("static_reduction", Dec (4, static)); ("static_valid", Bool valid) ])
+  in
+  let open Sweep in
+  Jsonx.(
+    Obj
+      [ ("experiment", Str "e5r"); ("n", Int n);
+        ( "store",
+          Obj
+            [ ("chunks_total", Int (Store.total_chunks store));
+              ("chunks_unique", Int (Store.unique_chunks store));
+              ("bytes_logical", Int (Store.logical_bytes store));
+              ("bytes_physical", Int (Store.physical_bytes store));
+              ("dedup_ratio", Dec (4, dedup)) ] );
+        ( "sweep",
+          Obj
+            [ ("workers", Int stats.sw_workers); ("images", Int stats.sw_images);
+              ("elapsed_ns", Int (Int64.to_int stats.sw_elapsed_ns));
+              ("images_per_s", Dec (2, stats.sw_images_per_s)); ("steals", Int stats.sw_steals);
+              ("steal_fails", Int stats.sw_steal_fails);
+              ("local_hits", Int stats.sw_local_hits) ] );
+        ( "static",
+          Obj
+            [ ("mean_reduction", Dec (2, mean));
+              ("histogram", List (Array.to_list (Array.map (fun c -> Int c) counts))) ] );
+        ("families", List (List.map family family_rows)) ])
 
 (* --- E6: deployment time ------------------------------------------------------ *)
 
@@ -602,24 +575,21 @@ let e3e () =
   Printf.printf
     "off = the paper's configuration (leaves Figure 2 untouched); on = Opts.fastpath:\n\
      READDIRPLUS + TTL dentry/attr + negative dentries + server handle cache\n%!";
-  if !json_mode then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf
-      "{\n  \"experiment\": \"e3e\",\n  \"metric\": \"relative overhead (cntrfs/native), metadata fast path off vs on\",\n  \"workloads\": [\n";
-    List.iteri
-      (fun i r ->
-        let open Repro_workloads.Experiments in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"name\": \"%s\", \"off\": %.4f, \"on\": %.4f, \"amp_off\": %.4f, \"amp_on\": %.4f, \"backing_off\": %d, \"backing_on\": %d, \"negative_hits\": %d, \"readdirplus_entries\": %d, \"handle_cache_hits\": %d}%s\n"
-             (Repro_obs.Metrics.json_escape r.er_workload)
-             r.er_off r.er_on r.er_amp_off r.er_amp_on r.er_backing_off r.er_backing_on
-             r.er_neg_hits r.er_rdp_entries r.er_hc_hits
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf "  ]\n}";
-    write_json_file "BENCH_e3e.json" (Buffer.contents buf)
-  end
+  let row r =
+    let open Repro_workloads.Experiments in
+    Jsonx.(
+      Obj
+        [ ("name", Str r.er_workload); ("off", Dec (4, r.er_off)); ("on", Dec (4, r.er_on));
+          ("amp_off", Dec (4, r.er_amp_off)); ("amp_on", Dec (4, r.er_amp_on));
+          ("backing_off", Int r.er_backing_off); ("backing_on", Int r.er_backing_on);
+          ("negative_hits", Int r.er_neg_hits); ("readdirplus_entries", Int r.er_rdp_entries);
+          ("handle_cache_hits", Int r.er_hc_hits) ])
+  in
+  Jsonx.(
+    Obj
+      [ ("experiment", Str "e3e");
+        ("metric", Str "relative overhead (cntrfs/native), metadata fast path off vs on");
+        ("workloads", List (List.map row rows)) ])
 
 (* --- e8: robustness matrix (fault plane) ------------------------------------------ *)
 
@@ -904,24 +874,19 @@ let e8 () =
         if row.x_recoveries < 1 then fail "no recovery counted"
       end)
     rows;
-  if !json_mode then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf
-      "{\n  \"experiment\": \"e8\",\n  \"metric\": \"fault plan x workload -> recovery, integrity, residual overhead\",\n  \"scenarios\": [\n";
-    List.iteri
-      (fun i row ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"name\": \"%s\", \"injected\": %d, \"recoveries\": %d, \"usable\": %b, \"integrity\": %b, \"bounded\": %b, \"virtual_ns\": %d, \"overhead\": %.4f}%s\n"
-             (Repro_obs.Metrics.json_escape row.x_name)
-             row.x_injected row.x_recoveries row.x_usable row.x_integrity
-             row.x_enotconn_only row.x_ns
-             (float_of_int row.x_ns /. base_ns)
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf "  ]\n}";
-    write_json_file "BENCH_e8.json" (Buffer.contents buf)
-  end
+  let scenario row =
+    Jsonx.(
+      Obj
+        [ ("name", Str row.x_name); ("injected", Int row.x_injected);
+          ("recoveries", Int row.x_recoveries); ("usable", Bool row.x_usable);
+          ("integrity", Bool row.x_integrity); ("bounded", Bool row.x_enotconn_only);
+          ("virtual_ns", Int row.x_ns); ("overhead", Dec (4, float_of_int row.x_ns /. base_ns)) ])
+  in
+  Jsonx.(
+    Obj
+      [ ("experiment", Str "e8");
+        ("metric", Str "fault plan x workload -> recovery, integrity, residual overhead");
+        ("scenarios", List (List.map scenario rows)) ])
 
 (* --- e9: forwarding-plane matrix -------------------------------------------------- *)
 
@@ -1124,25 +1089,18 @@ let e9 () =
              s.p_ns c.p_ns))
     [ 8; 64 ];
   if stalls <= 0 then fail "constrained-buffer cell recorded no stalls";
-  if !json_mode then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf
-      "{\n  \"experiment\": \"e9\",\n  \"metric\": \"forwarding plane: splice vs copy relay, virtual-ns per cell\",\n  \"cells\": [\n";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"workload\": \"%s\", \"conns\": %d, \"mode\": \"%s\", \"bytes\": %d, \"datapath_ns\": %d, \"elapsed_ns\": %d, \"splices\": %d, \"wakeups\": %d}%s\n"
-             (Repro_obs.Metrics.json_escape r.p_workload)
-             r.p_conns
-             (Repro_obs.Metrics.json_escape r.p_mode)
-             r.p_bytes r.p_ns r.p_elapsed r.p_splices r.p_wakeups
-             (if i = List.length cells - 1 then "" else ",")))
-      cells;
-    Buffer.add_string buf
-      (Printf.sprintf "  ],\n  \"constrained_buffer_stalls\": %d\n}" stalls);
-    write_json_file "BENCH_e9.json" (Buffer.contents buf)
-  end
+  let cell r =
+    Jsonx.(
+      Obj
+        [ ("workload", Str r.p_workload); ("conns", Int r.p_conns); ("mode", Str r.p_mode);
+          ("bytes", Int r.p_bytes); ("datapath_ns", Int r.p_ns); ("elapsed_ns", Int r.p_elapsed);
+          ("splices", Int r.p_splices); ("wakeups", Int r.p_wakeups) ])
+  in
+  Jsonx.(
+    Obj
+      [ ("experiment", Str "e9");
+        ("metric", Str "forwarding plane: splice vs copy relay, virtual-ns per cell");
+        ("cells", List (List.map cell cells)); ("constrained_buffer_stalls", Int stalls) ])
 
 (* --- fleet: the cntrd control plane at 10k-session scale ------------------------- *)
 
@@ -1550,39 +1508,43 @@ let fleet () =
     fail
       (Printf.sprintf "wire shard: storm replies lost or duplicated (%d + %d <> %d)"
          fw.fw_storm_ok fw.fw_storm_refused fleet_wire_storm);
-  if !json_mode then begin
-    let buf = Buffer.create 2048 in
-    Buffer.add_string buf "{\n  \"experiment\": \"fleet\",\n  \"shards\": [\n";
-    List.iteri
-      (fun i r ->
-        let wait =
-          match r.f_wait with
-          | None -> "null"
-          | Some s ->
-              Printf.sprintf "{\"count\": %d, \"mean\": %.2f, \"p95\": %.2f, \"max\": %.2f}"
-                s.Repro_obs.Metrics.s_count s.Repro_obs.Metrics.s_mean
-                s.Repro_obs.Metrics.s_p95 s.Repro_obs.Metrics.s_max
-        in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"shard\": %d, \"seed\": %d, \"sessions\": %d, \"execs\": %d, \"rejected\": %d, \"cancelled\": %d, \"recovered\": %d, \"rpc_calls\": %d, \"queue_wait_us\": %s}%s\n"
-             r.f_shard r.f_seed r.f_sessions r.f_execs r.f_rejected r.f_cancelled
-             r.f_recovered r.f_rpc_calls wait
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  ],\n  \"wire\": {\"sessions\": %d, \"seq_sessions\": %d, \"seq_ns\": %d, \"pipe_sessions\": %d, \"pipe_ns\": %d, \"speedup\": %.3f, \"batch\": %d, \"conns\": %d, \"batches\": %d, \"pipelined_max\": %d, \"stalls\": %d, \"overloaded\": %d, \"backlog_peak\": %d, \"frame_max\": %d, \"wire_high\": %d, \"storm_ok\": %d, \"storm_refused\": %d, \"events\": %d, \"fwd_bytes_c2b\": %d, \"fwd_bytes_b2c\": %d},\n"
-         fw.fw_sessions fleet_wire_seq fw.fw_seq_ns fleet_wire_pipe fw.fw_pipe_ns
-         fw.fw_speedup fleet_wire_batch fw.fw_conns fw.fw_batches fw.fw_pipelined_max
-         fw.fw_stalls fw.fw_overloaded fw.fw_backlog_peak fw.fw_frame_max fleet_wire_high
-         fw.fw_storm_ok fw.fw_storm_refused fw.fw_events fw.fw_c2b fw.fw_b2c);
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"totals\": {\"sessions\": %d, \"rejected\": %d, \"cancelled\": %d, \"recovered\": %d, \"rpc_calls\": %d, \"active_end\": %d}\n}"
-         sessions rejected cancelled recovered rpc_calls active_end);
-    write_json_file "BENCH_fleet.json" (Buffer.contents buf)
-  end
+  let wait = function
+    | None -> Jsonx.Null
+    | Some s ->
+        let open Repro_obs.Metrics in
+        Jsonx.(
+          Obj
+            [ ("count", Int s.s_count); ("mean", Dec (2, s.s_mean)); ("p95", Dec (2, s.s_p95));
+              ("max", Dec (2, s.s_max)) ])
+  in
+  let shard r =
+    Jsonx.(
+      Obj
+        [ ("shard", Int r.f_shard); ("seed", Int r.f_seed); ("sessions", Int r.f_sessions);
+          ("execs", Int r.f_execs); ("rejected", Int r.f_rejected); ("cancelled", Int r.f_cancelled);
+          ("recovered", Int r.f_recovered); ("rpc_calls", Int r.f_rpc_calls);
+          ("queue_wait_us", wait r.f_wait) ])
+  in
+  Jsonx.(
+    Obj
+      [ ("experiment", Str "fleet"); ("shards", List (List.map shard rows));
+        ( "wire",
+          Obj
+            [ ("sessions", Int fw.fw_sessions); ("seq_sessions", Int fleet_wire_seq);
+              ("seq_ns", Int fw.fw_seq_ns); ("pipe_sessions", Int fleet_wire_pipe);
+              ("pipe_ns", Int fw.fw_pipe_ns); ("speedup", Dec (3, fw.fw_speedup));
+              ("batch", Int fleet_wire_batch); ("conns", Int fw.fw_conns);
+              ("batches", Int fw.fw_batches); ("pipelined_max", Int fw.fw_pipelined_max);
+              ("stalls", Int fw.fw_stalls); ("overloaded", Int fw.fw_overloaded);
+              ("backlog_peak", Int fw.fw_backlog_peak); ("frame_max", Int fw.fw_frame_max);
+              ("wire_high", Int fleet_wire_high); ("storm_ok", Int fw.fw_storm_ok);
+              ("storm_refused", Int fw.fw_storm_refused); ("events", Int fw.fw_events);
+              ("fwd_bytes_c2b", Int fw.fw_c2b); ("fwd_bytes_b2c", Int fw.fw_b2c) ] );
+        ( "totals",
+          Obj
+            [ ("sessions", Int sessions); ("rejected", Int rejected); ("cancelled", Int cancelled);
+              ("recovered", Int recovered); ("rpc_calls", Int rpc_calls);
+              ("active_end", Int active_end) ] ) ])
 
 (* --- bechamel micro-benchmarks -------------------------------------------------- *)
 
@@ -1631,34 +1593,59 @@ let micro () =
 
 (* --- driver ---------------------------------------------------------------------- *)
 
+(* An experiment either prints a report only, or also returns its table.
+   With `--json` the driver writes each table to BENCH_<name>.json in the
+   current directory (the repo root, when run via `dune exec` from there).
+   Everything in a table derives from the virtual clock and the fixed
+   workload seeds, so two runs produce byte-identical files. *)
+type experiment = Report of (unit -> unit) | Table of (unit -> Jsonx.t)
+
 let all =
-  [ ("e1", e1); ("e2", e2); ("e2a", e2a); ("e3", e3); ("e3e", e3e); ("e4", e4); ("e5", e5);
-    ("e5r", e5r); ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("fleet", fleet); ("loc", e7);
-    ("ablate", ablate); ("cache", cache_sweep); ("micro", micro) ]
+  [ ("e1", Report e1); ("e2", Table e2); ("e2a", Table e2a); ("e3", Report e3);
+    ("e3e", Table e3e); ("e4", Table e4); ("e5", Report e5); ("e5r", Table e5r);
+    ("e6", Report e6); ("e7", Report e7); ("e8", Table e8); ("e9", Table e9);
+    ("fleet", Table fleet); ("loc", Report e7); ("ablate", Report ablate);
+    ("cache", Report cache_sweep); ("micro", Report micro) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let smoke, args = List.partition (( = ) "--smoke") args in
   let json, args = List.partition (( = ) "--json") args in
-  if json <> [] then json_mode := true;
   if smoke <> [] then begin
     (* `main.exe e2 --smoke` (the e2 is informative; --smoke selects) *)
     Printf.printf "CNTR reproduction — evaluation harness (virtual-time simulation)\n";
     e2_smoke ();
     exit 0
   end;
-  let to_run =
+  let names =
     match args with
-    | [] -> [ e1; e2; e2a; e3; e3e; e4; e5; e6; e7; e8; e9; ablate; cache_sweep; micro ]
-    | names ->
-        List.filter_map
-          (fun n ->
-            match List.assoc_opt (String.lowercase_ascii n) all with
-            | Some f -> Some f
-            | None ->
-                Printf.eprintf "unknown experiment %s (known: e1-e9, e3e, loc, ablate, micro)\n" n;
-                None)
-          names
+    | [] ->
+        [ "e1"; "e2"; "e2a"; "e3"; "e3e"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "ablate"; "cache";
+          "micro" ]
+    | names -> names
+  in
+  let to_run =
+    List.filter_map
+      (fun n ->
+        let name = String.lowercase_ascii n in
+        match List.assoc_opt name all with
+        | Some e -> Some (name, e)
+        | None ->
+            Printf.eprintf "unknown experiment %s (known: %s)\n" n
+              (String.concat ", " (List.map fst all));
+            None)
+      names
   in
   Printf.printf "CNTR reproduction — evaluation harness (virtual-time simulation)\n";
-  List.iter (fun f -> f ()) to_run
+  List.iter
+    (fun (name, e) ->
+      match e with
+      | Report f -> f ()
+      | Table f ->
+          let table = f () in
+          if json <> [] then begin
+            let path = "BENCH_" ^ name ^ ".json" in
+            write_file path (Jsonx.to_string_table table);
+            Printf.printf "wrote %s\n%!" path
+          end)
+    to_run

@@ -72,7 +72,8 @@ let run common name json trace_file =
                   Printf.eprintf "cntr: cannot write trace: %s\n" msg;
                   trace_error := true)
           | None -> ());
-          if json then print_string (Repro_obs.Obs.to_json obs)
+          if json then
+            print_string (Jsonx.to_string (Repro_obs.Metrics.to_json (Repro_obs.Obs.metrics obs)))
           else begin
             Printf.printf "metrics for attach session on %s (seed %#x):\n"
               container.Container.ct_name common.Cmd_common.seed;

@@ -11,10 +11,9 @@
    envelope (one frame on the wire).  Every typed verb is built on
    [start_*]/[finish], so any of them can be pipelined or batched. *)
 
+open Repro_util
 open Repro_os
 module Config = Repro_cntr.Attach.Config
-
-let default_attach = Config.default
 
 type wire_state = {
   ws_wire : Daemon.wire;
@@ -240,8 +239,6 @@ let notifications t =
 
 type 'a call = { cl_id : ticket; cl_decode : Jsonx.t -> 'a }
 
-let call_id c = c.cl_id
-
 let start t ?params decode meth = { cl_id = submit t ?params meth; cl_decode = decode }
 
 let finish t c =
@@ -331,5 +328,4 @@ let decode_rows v =
 
 let start_list t = start t decode_rows "session.list"
 let session_list t = finish t (start_list t)
-let start_subscribe t = start t (fun _ -> ()) "stats.subscribe"
-let subscribe t = finish t (start_subscribe t)
+let subscribe t = finish t (start t (fun _ -> ()) "stats.subscribe")

@@ -20,11 +20,11 @@
     A daemon refusing further pipelining on a connection answers
     {!Rpc.overloaded} (-32005) — back off, drain, resubmit. *)
 
+open Repro_util
+
 (** Re-exported so callers spell attach defaults through the client API
     ([Client.Config.default]) instead of reaching into [Attach]. *)
 module Config = Repro_cntr.Attach.Config
-
-val default_attach : Config.t
 
 type t
 
@@ -77,9 +77,6 @@ val notifications : t -> Jsonx.t list
 (** A typed in-flight request: the ticket plus its reply decoder. *)
 type 'a call
 
-(** The raw ticket under a typed handle (for {!cancel} / {!poll}). *)
-val call_id : 'a call -> ticket
-
 (** Await a typed handle.  Decode errors on a malformed daemon reply
     raise [Invalid_argument]; RPC errors return [Error]. *)
 val finish : t -> 'a call -> ('a, Rpc.rerror) result
@@ -121,6 +118,4 @@ val start_list : t -> row list call
 val session_list : t -> (row list, Rpc.rerror) result
 
 (** Subscribe this client's transport to [stats.event] notifications. *)
-val start_subscribe : t -> unit call
-
 val subscribe : t -> (unit, Rpc.rerror) result

@@ -2,6 +2,8 @@
    envelope ("jsonrpc":"2.0", method a string, id an int/string) and lax on
    params, which each method validates itself. *)
 
+open Repro_util
+
 type id = I of int | S of string
 
 let id_json = function I n -> Jsonx.Int n | S s -> Jsonx.Str s
@@ -60,9 +62,6 @@ let response_json p =
 
 let encode_request r = Jsonx.to_string (request_json r)
 let encode_response p = Jsonx.to_string (response_json p)
-
-let notification meth params =
-  encode_request { r_id = None; r_method = meth; r_params = params }
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                           *)

@@ -6,6 +6,8 @@
     format is the LSP-style base protocol — a [Content-Length: N\r\n\r\n]
     header followed by exactly [N] bytes of one JSON-RPC message. *)
 
+open Repro_util
+
 (** Request ids may be numbers or strings (JSON-RPC §4). *)
 type id = I of int | S of string
 
@@ -65,14 +67,8 @@ val response_json : response -> Jsonx.t
 val encode_request : request -> string
 val encode_response : response -> string
 
-(** A [method]/[params] notification (no id). *)
-val notification : string -> Jsonx.t -> string
-
-(** Classify one parsed JSON document.  [Error e] means the document is not
-    a well-formed JSON-RPC message; reply with [e] and id [null]. *)
-val of_json : Jsonx.t -> (message, rerror) result
-
-(** Parse + classify raw text. *)
+(** Parse and classify raw text.  [Error e] means the text is not one
+    well-formed JSON-RPC message; reply with [e] and id [null]. *)
 val decode : string -> (message, rerror) result
 
 (** {1 Batch envelopes}

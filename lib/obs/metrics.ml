@@ -5,6 +5,8 @@
    produce byte-identical snapshots — the registry never reads wall-clock
    time or ambient randomness. *)
 
+open Repro_util
+
 type counter = { c_name : string; mutable c_value : int }
 type gauge = { g_name : string; mutable g_value : float }
 
@@ -161,7 +163,7 @@ let summarize h =
     { s_count = 0; s_sum = 0.; s_min = 0.; s_max = 0.; s_mean = 0.; s_p50 = 0.; s_p95 = 0.; s_p99 = 0. }
   else begin
     let samples = Array.to_list (Array.sub h.h_samples 0 h.h_len) in
-    let p q = Repro_util.Stats.percentile q samples in
+    let p q = Stats.percentile q samples in
     {
       s_count = h.h_count;
       s_sum = h.h_sum;
@@ -210,52 +212,25 @@ let counters_with_prefix t ~prefix =
 
 (* --- rendering ----------------------------------------------------------- *)
 
-(* Deterministic float formatting: fixed six decimals, non-finite values
-   clamped, so JSON output is byte-stable across runs. *)
-let json_float v =
-  let v = if Float.is_nan v || v = infinity || v = neg_infinity then 0. else v in
-  Printf.sprintf "%.6f" v
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_summary s =
-  Printf.sprintf
-    "{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"mean\":%s,\"p50\":%s,\"p95\":%s,\"p99\":%s}"
-    s.s_count (json_float s.s_sum) (json_float s.s_min) (json_float s.s_max)
-    (json_float s.s_mean) (json_float s.s_p50) (json_float s.s_p95) (json_float s.s_p99)
-
+(* Gauges and summaries print as fixed six-decimal numbers with
+   non-finite values clamped to 0, so the JSON is byte-stable across
+   runs. *)
 let to_json t =
+  let dec v = Jsonx.Dec (6, if Float.is_finite v then v else 0.) in
   let snap = snapshot t in
-  let section pred render =
-    List.filter_map
-      (fun (name, v) ->
-        match pred v with
-        | Some x -> Some (Printf.sprintf "\"%s\":%s" (json_escape name) (render x))
-        | None -> None)
-      snap
-    |> String.concat ","
+  let section pick =
+    Jsonx.Obj (List.filter_map (fun (name, v) -> Option.map (fun j -> (name, j)) (pick v)) snap)
   in
-  let counters =
-    section (function V_counter n -> Some n | _ -> None) string_of_int
+  let summary s =
+    Jsonx.Obj
+      [ ("count", Jsonx.Int s.s_count); ("sum", dec s.s_sum); ("min", dec s.s_min);
+        ("max", dec s.s_max); ("mean", dec s.s_mean); ("p50", dec s.s_p50); ("p95", dec s.s_p95);
+        ("p99", dec s.s_p99) ]
   in
-  let gauges = section (function V_gauge v -> Some v | _ -> None) json_float in
-  let histograms =
-    section (function V_histogram s -> Some s | _ -> None) json_summary
-  in
-  Printf.sprintf "{\"counters\":{%s},\"gauges\":{%s},\"histograms\":{%s}}" counters
-    gauges histograms
+  Jsonx.Obj
+    [ ("counters", section (function V_counter n -> Some (Jsonx.Int n) | _ -> None));
+      ("gauges", section (function V_gauge g -> Some (dec g) | _ -> None));
+      ("histograms", section (function V_histogram s -> Some (summary s) | _ -> None)) ]
 
 let pp ppf t =
   List.iter

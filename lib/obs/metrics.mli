@@ -70,9 +70,6 @@ type summary = {
     by {!Repro_util.Stats.percentile}. *)
 val summarize : histogram -> summary
 
-(** Look up an existing histogram without creating one. *)
-val find_histogram : t -> string -> histogram option
-
 (** [summarize] of an existing histogram; [None] when the name was never
     observed.  Readers (benches, the daemon's [session.stat]) use this so a
     probe never mutates the registry. *)
@@ -86,10 +83,8 @@ type value = V_counter of int | V_gauge of float | V_histogram of summary
 val snapshot : t -> (string * value) list
 
 (** Deterministic JSON object with sorted ["counters"], ["gauges"] and
-    ["histograms"] sections. *)
-val to_json : t -> string
+    ["histograms"] sections; gauges and summary fields carry six fixed
+    decimals, with non-finite values clamped to 0. *)
+val to_json : t -> Repro_util.Jsonx.t
 
 val pp : Format.formatter -> t -> unit
-
-(** JSON string escaping shared with {!Trace} renderers. *)
-val json_escape : string -> string

@@ -10,5 +10,4 @@ let create ?trace_capacity () =
 
 let metrics t = t.metrics
 let tracer t = t.tracer
-let to_json t = Metrics.to_json t.metrics
 let pp ppf t = Metrics.pp ppf t.metrics

@@ -9,7 +9,4 @@ val create : ?trace_capacity:int -> unit -> t
 val metrics : t -> Metrics.t
 val tracer : t -> Trace.t
 
-(** Deterministic JSON snapshot of the metrics registry. *)
-val to_json : t -> string
-
 val pp : Format.formatter -> t -> unit

@@ -63,19 +63,18 @@ let clear t =
 
 (* --- sinks --------------------------------------------------------------- *)
 
-let jsonl_of_span s =
-  let attrs =
-    s.sp_attrs
-    |> List.map (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (Metrics.json_escape k) (Metrics.json_escape v))
-    |> String.concat ","
-  in
-  Printf.sprintf "{\"name\":\"%s\",\"begin_ns\":%Ld,\"end_ns\":%Ld,\"attrs\":{%s}}"
-    (Metrics.json_escape s.sp_name) s.sp_begin_ns s.sp_end_ns attrs
-
-(* JSON-lines export: one span object per line. *)
-let buffer_sink buf span =
-  Buffer.add_string buf (jsonl_of_span span);
+(* JSON-lines export: one compact span object per line. *)
+let buffer_sink buf s =
+  let open Repro_util in
+  Buffer.add_string buf
+    (Jsonx.to_string
+       (Jsonx.Obj
+          [
+            ("name", Jsonx.Str s.sp_name);
+            ("begin_ns", Jsonx.Int (Int64.to_int s.sp_begin_ns));
+            ("end_ns", Jsonx.Int (Int64.to_int s.sp_end_ns));
+            ("attrs", Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Str v)) s.sp_attrs));
+          ]));
   Buffer.add_char buf '\n'
 
 (* In-memory sink for tests: returns the sink and a reader for everything

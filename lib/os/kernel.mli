@@ -203,7 +203,6 @@ val mounts_of_ns : Mount.ns -> Mount.mount list
 
 val gethostname : t -> Proc.t -> string
 val sethostname : t -> Proc.t -> string -> (unit, Errno.t) result
-val cgroup_create : t -> string -> unit
 val cgroup_attach : t -> Proc.t -> cgroup:string -> unit
 val cgroup_procs : t -> string -> int list
 val set_rlimit_fsize : t -> Proc.t -> int option -> unit

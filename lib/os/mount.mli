@@ -28,7 +28,6 @@ type ns = {
 }
 
 val next_mount_id : unit -> int
-val next_ns_id : unit -> int
 val next_peer_group : unit -> int
 
 (** A fresh namespace rooted at [fs] (or a sub-root of it). *)

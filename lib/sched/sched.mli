@@ -178,9 +178,6 @@ module Ws : sig
   val push : 'a t -> int -> 'a -> unit
   (** Submission entry: back of worker [i]'s queue (owner drains FIFO). *)
 
-  val push_local : 'a t -> int -> 'a -> unit
-  (** Locally-spawned work: front of worker [i]'s queue (owner LIFO). *)
-
   val peek : 'a t -> int -> 'a option
 
   val pop : 'a t -> int -> 'a option

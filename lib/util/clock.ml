@@ -26,10 +26,3 @@ let time t f =
   let start = t.now_ns in
   let v = f () in
   (v, Int64.sub t.now_ns start)
-
-let pp_duration ppf ns =
-  let ns = Int64.to_float ns in
-  if ns < 1e3 then Fmt.pf ppf "%.0fns" ns
-  else if ns < 1e6 then Fmt.pf ppf "%.2fus" (ns /. 1e3)
-  else if ns < 1e9 then Fmt.pf ppf "%.2fms" (ns /. 1e6)
-  else Fmt.pf ppf "%.3fs" (ns /. 1e9)

@@ -22,5 +22,3 @@ val set_ns : t -> int64 -> unit
 
 (** Virtual time consumed by running [f]. *)
 val time : t -> (unit -> 'a) -> 'a * int64
-
-val pp_duration : Format.formatter -> int64 -> unit

@@ -1,13 +1,14 @@
-(* JSON values, a deterministic compact printer, and a strict parser.
-   Self-contained on purpose: the simulator depends on no external JSON
-   library, and the printer's byte-stability is part of the bench
-   contract. *)
+(* JSON values, two deterministic printers (compact, and the bench
+   baselines' table layout), and a strict parser.  Self-contained on
+   purpose: the simulator depends on no external JSON library, and the
+   printers' byte-stability is part of the bench contract. *)
 
 type t =
   | Null
   | Bool of bool
   | Int of int
   | Float of float
+  | Dec of int * float
   | Str of string
   | List of t list
   | Obj of (string * t) list
@@ -18,6 +19,7 @@ let rec equal a b =
   | Bool x, Bool y -> x = y
   | Int x, Int y -> x = y
   | Float x, Float y -> x = y
+  | Dec (d, x), Dec (d', y) -> d = d' && x = y
   | Str x, Str y -> String.equal x y
   | List xs, List ys -> List.length xs = List.length ys && List.for_all2 equal xs ys
   | Obj xs, Obj ys ->
@@ -26,21 +28,35 @@ let rec equal a b =
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* Printer                                                            *)
+(* Printers                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+(* Both renderers go through [write], so they share the escaper and the
+   number printer.  The helpers are top-level rather than closures: the
+   compact printer sits on the wire RPC hot path and allocates nothing
+   beyond its buffer for ASCII text. *)
+
+(* Copy [s.[start..i)] verbatim, escaping only where JSON requires it. *)
+let rec escape_from buf s start i =
+  if i = String.length s then Buffer.add_substring buf s start (i - start)
+  else
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\000' .. '\031') as c ->
+        Buffer.add_substring buf s start (i - start);
+        (match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+        escape_from buf s (i + 1) (i + 1)
+    | _ -> escape_from buf s start (i + 1)
+
+let write_str buf s =
+  Buffer.add_char buf '"';
+  escape_from buf s 0 0;
+  Buffer.add_char buf '"'
 
 let float_repr f =
   if not (Float.is_finite f) then "null"
@@ -53,39 +69,71 @@ let float_repr f =
     in
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E' || c = 'n') s then s else s ^ ".0"
 
+(* [spaced] selects the [", "]/[": "] separators of the table layout's
+   inline rows over the compact [","]/[":"]. *)
+let rec write buf spaced = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Float f -> Buffer.add_string buf (float_repr f)
+  | Dec (d, f) ->
+      if Float.is_finite f then Printf.bprintf buf "%.*f" d f else Buffer.add_string buf "null"
+  | Str s -> write_str buf s
+  | List xs ->
+      Buffer.add_char buf '[';
+      write_elems buf spaced true xs;
+      Buffer.add_char buf ']'
+  | Obj fields ->
+      Buffer.add_char buf '{';
+      write_fields buf spaced true fields;
+      Buffer.add_char buf '}'
+
+and write_elems buf spaced first = function
+  | [] -> ()
+  | x :: xs ->
+      if not first then Buffer.add_string buf (if spaced then ", " else ",");
+      write buf spaced x;
+      write_elems buf spaced false xs
+
+and write_fields buf spaced first = function
+  | [] -> ()
+  | (k, v) :: fields ->
+      if not first then Buffer.add_string buf (if spaced then ", " else ",");
+      write_str buf k;
+      Buffer.add_string buf (if spaced then ": " else ":");
+      write buf spaced v;
+      write_fields buf spaced false fields
+
 let to_string v =
   let buf = Buffer.create 256 in
-  let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool true -> Buffer.add_string buf "true"
-    | Bool false -> Buffer.add_string buf "false"
-    | Int n -> Buffer.add_string buf (string_of_int n)
-    | Float f -> Buffer.add_string buf (float_repr f)
-    | Str s ->
-        Buffer.add_char buf '"';
-        escape buf s;
-        Buffer.add_char buf '"'
-    | List xs ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char buf ',';
-            go x)
-          xs;
-        Buffer.add_char buf ']'
-    | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, x) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_char buf '"';
-            escape buf k;
-            Buffer.add_string buf "\":";
-            go x)
-          fields;
-        Buffer.add_char buf '}'
-  in
-  go v;
+  write buf false v;
+  Buffer.contents buf
+
+let to_string_table v =
+  let buf = Buffer.create 2048 in
+  (match v with
+  | Obj (_ :: _ as fields) ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_string buf "\n  ";
+          write_str buf k;
+          Buffer.add_string buf ": ";
+          match v with
+          | List (_ :: _ as rows) ->
+              Buffer.add_char buf '[';
+              List.iteri
+                (fun j row ->
+                  if j > 0 then Buffer.add_char buf ',';
+                  Buffer.add_string buf "\n    ";
+                  write buf true row)
+                rows;
+              Buffer.add_string buf "\n  ]"
+          | v -> write buf true v)
+        fields;
+      Buffer.add_string buf "\n}"
+  | v -> write buf true v);
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -585,7 +585,7 @@ let test_sixteen_worker_determinism () =
         (Conn.call_group conn Protocol.root_ctx (List.init 24 (fun _ -> Protocol.Statfs)))
     done;
     Conn.quiesce conn;
-    Repro_obs.Metrics.to_json (Repro_obs.Obs.metrics (Conn.obs conn))
+    Jsonx.to_string (Repro_obs.Metrics.to_json (Repro_obs.Obs.metrics (Conn.obs conn)))
   in
   Alcotest.(check string) "byte-identical stats at 16 workers" (run ()) (run ())
 

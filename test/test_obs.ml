@@ -81,7 +81,7 @@ let test_json_deterministic () =
     Metrics.add (Metrics.counter t "a.count") 1;
     Metrics.set (Metrics.gauge t "g") 0.5;
     Metrics.observe (Metrics.histogram t "h.latency_us") 7.;
-    Metrics.to_json t
+    Jsonx.to_string (Metrics.to_json t)
   in
   let j1 = build () and j2 = build () in
   check_s "byte identical" j1 j2;
@@ -137,18 +137,34 @@ let test_trace_jsonl () =
   let buf = Buffer.create 64 in
   let tr = Trace.create () in
   Trace.set_sink tr (Some (Trace.buffer_sink buf));
-  Trace.record tr ~name:{|q"uote|} ~begin_ns:1L ~end_ns:2L ~attrs:[ ("a", "b") ] ();
-  Trace.record tr ~name:"plain" ~begin_ns:2L ~end_ns:3L ();
+  let recorded =
+    [
+      ({|q"uote|}, 1L, 2L, [ ("a", "b") ]);
+      ("plain", 2L, 3L, []);
+      ("ctl", 3L, 5L, [ ("cr", "x\ry"); ("soh", "\001"); ("nl\\", "a\nb\t") ]);
+    ]
+  in
+  List.iter
+    (fun (name, begin_ns, end_ns, attrs) -> Trace.record tr ~name ~begin_ns ~end_ns ~attrs ())
+    recorded;
   let lines =
     String.split_on_char '\n' (Buffer.contents buf) |> List.filter (( <> ) "")
   in
-  check_i "one line per span" 2 (List.length lines);
-  let contains ~needle hay =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
-  check_b "escaped quote" true (contains ~needle:{|q\"uote|} (List.hd lines))
+  check_i "one line per span" (List.length recorded) (List.length lines);
+  List.iter2
+    (fun line (name, begin_ns, end_ns, attrs) ->
+      match Jsonx.parse line with
+      | Error msg -> Alcotest.failf "line %S does not parse: %s" line msg
+      | Ok v ->
+          Alcotest.(check (option string)) "name" (Some name) (Jsonx.field_str v "name");
+          Alcotest.(check (option int)) "begin" (Some (Int64.to_int begin_ns))
+            (Jsonx.field_int v "begin_ns");
+          Alcotest.(check (option int)) "end" (Some (Int64.to_int end_ns))
+            (Jsonx.field_int v "end_ns");
+          check_b "attrs" true
+            (Jsonx.mem v "attrs"
+            = Some (Jsonx.Obj (List.map (fun (k, x) -> (k, Jsonx.Str x)) attrs))))
+    lines recorded
 
 (* --- Workload-level properties ------------------------------------------- *)
 
@@ -189,7 +205,7 @@ let run_with_sink seed sink_of_obs =
   | Some mk -> Trace.set_sink (Obs.tracer obs) (Some (mk ())));
   let backend = Bench_env.Cntrfs Repro_fuse.Opts.cntr_default in
   ignore (Bench_env.run_workload ~obs ~backend (mini_workload seed));
-  Obs.to_json obs
+  Jsonx.to_string (Metrics.to_json (Obs.metrics obs))
 
 (* The tracer is an observer: counter totals must not depend on which sink
    (if any) is attached. *)

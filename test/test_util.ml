@@ -1,5 +1,5 @@
 (* Unit and property tests for the util substrate: paths, RNG, clock,
-   stats, cost model. *)
+   stats, cost model, JSON codec. *)
 
 open Repro_util
 
@@ -170,6 +170,66 @@ let test_errno () =
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
+(* --- Jsonx ---------------------------------------------------------------- *)
+
+let test_jsonx_dec () =
+  let s v = Jsonx.to_string v in
+  check_s "fixed decimals" "1.5000" (s (Jsonx.Dec (4, 1.5)));
+  check_s "rounds" "0.33" (s (Jsonx.Dec (2, 1. /. 3.)));
+  check_s "zero decimals" "42" (s (Jsonx.Dec (0, 42.)));
+  check_s "negative" "-2.500000" (s (Jsonx.Dec (6, -2.5)));
+  check_s "nan is null" "null" (s (Jsonx.Dec (2, Float.nan)));
+  check_s "inf is null" "null" (s (Jsonx.Dec (3, Float.infinity)));
+  check_s "compact container" {|{"a":[0.1,1.000],"b":null}|}
+    (s Jsonx.(Obj [ ("a", List [ Dec (1, 0.1); Dec (3, 1.) ]); ("b", Dec (1, -.Float.infinity)) ]))
+
+let test_jsonx_table_layout () =
+  let v =
+    Jsonx.(
+      Obj
+        [ ("experiment", Str "t\"1");
+          ("inner", Obj [ ("k", Int 1); ("xs", List [ Int 1; Dec (2, 0.5) ]); ("ok", Bool true) ]);
+          ("rows", List [ Obj [ ("a", Dec (1, 0.3)); ("b", List []) ]; Obj [ ("a", Null) ] ]);
+          ("empty", List []);
+          ("last", Dec (4, 2.)) ])
+  in
+  check_s "table bytes"
+    {|{
+  "experiment": "t\"1",
+  "inner": {"k": 1, "xs": [1, 0.50], "ok": true},
+  "rows": [
+    {"a": 0.3, "b": []},
+    {"a": null}
+  ],
+  "empty": [],
+  "last": 2.0000
+}|}
+    (Jsonx.to_string_table v);
+  check_s "empty object" "{}" (Jsonx.to_string_table (Jsonx.Obj []));
+  check_s "non-object top level is inline" "[1, {\"a\": 2}]"
+    (Jsonx.to_string_table Jsonx.(List [ Int 1; Obj [ ("a", Int 2) ] ]))
+
+(* The committed bench baselines are JSON documents, not just stable bytes. *)
+let test_baselines_parse () =
+  let dir = "../bench" in
+  let baselines =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".expected.json")
+    |> List.sort compare
+  in
+  check_b "baselines found" true (List.length baselines >= 9);
+  List.iter
+    (fun f ->
+      let ic = open_in_bin (Filename.concat dir f) in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      match Jsonx.parse text with
+      | Ok (Jsonx.Obj (_ :: _)) -> ()
+      | Ok _ -> Alcotest.failf "%s: top level is not a non-empty object" f
+      | Error msg -> Alcotest.failf "%s: %s" f msg)
+    baselines
+
 let () =
   Alcotest.run "util"
     [
@@ -199,5 +259,11 @@ let () =
           Alcotest.test_case "histogram edges" `Quick test_histogram_edges;
           Alcotest.test_case "size" `Quick test_size;
           Alcotest.test_case "errno" `Quick test_errno;
+        ] );
+      ( "jsonx",
+        [
+          Alcotest.test_case "dec bytes" `Quick test_jsonx_dec;
+          Alcotest.test_case "table layout bytes" `Quick test_jsonx_table_layout;
+          Alcotest.test_case "bench baselines parse" `Quick test_baselines_parse;
         ] );
     ]
