@@ -1576,6 +1576,15 @@ let micro () =
            incr i;
            ignore (Repro_os.Kernel.stat k p (Printf.sprintf "/mnt/micro/f%d" !i))))
   in
+  (* chunking a multi-MiB descriptor: a fresh size each run, so the Blobs
+     memo never hits and every run takes the uniform-fill chunker *)
+  let test_chunk =
+    Test.make ~name:"chunk 3 MiB Filler (fresh size)"
+      (let i = ref 0 in
+       Staged.stage (fun () ->
+           incr i;
+           ignore (Repro_image.Blobs.content_chunks (Repro_image.Content.Filler (Size.mib 3 + !i)))))
+  in
   let benchmark test =
     let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
     let instances = [ Instance.monotonic_clock ] in
@@ -1589,6 +1598,7 @@ let micro () =
       results
   in
   benchmark test_rt;
+  benchmark test_chunk;
   benchmark test_attach
 
 (* --- driver ---------------------------------------------------------------------- *)

@@ -5,8 +5,10 @@
    memoized process-wide by structural descriptor equality: the Top-50
    catalogue's 7-MB binaries are chunked once ever, not once per world.
    [Filler] and [Binary] render to (header +) a uniform pad, so they take
-   {!Repro_store.Chunker.chunks_prefixed_uniform}'s analytic path and are
-   never materialized at all. *)
+   {!Repro_store.Chunker.chunks_prefixed_uniform}, whose cost depends on
+   the header and the chunk count, not on the pad length: they are never
+   materialized, and a new [Filler] size costs a few list cells plus at
+   most one digest of its remainder chunk. *)
 
 open Repro_os
 module Chunker = Repro_store.Chunker

@@ -37,7 +37,6 @@ let create ?metrics ~clock ?(bandwidth_mb_per_s = 125.0) ?(latency_ms_per_layer 
 }
 
 let store t = t.store
-let host_store t = t.host
 let bytes_transferred t = t.bytes_transferred
 
 let push t image =
@@ -55,10 +54,6 @@ let push t image =
     image.Image.layers
 
 let find t ref_ = Hashtbl.find_opt t.images ref_
-
-let images t =
-  Hashtbl.fold (fun _ i acc -> i :: acc) t.images []
-  |> List.sort (fun a b -> compare (Image.ref_ a) (Image.ref_ b))
 
 (* Pull an image: for each layer missing from the host store, transfer the
    chunks the host doesn't already hold, charging network time on the

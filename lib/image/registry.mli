@@ -24,9 +24,6 @@ val create :
 (** The registry-side content store (everything pushed). *)
 val store : t -> Repro_store.Store.t
 
-(** The pulling host's chunk store. *)
-val host_store : t -> Repro_store.Store.t
-
 (** Total bytes moved by all pulls so far. *)
 val bytes_transferred : t -> int
 
@@ -36,9 +33,6 @@ val bytes_transferred : t -> int
 val push : t -> Image.t -> unit
 
 val find : t -> string -> Image.t option
-
-(** All images, sorted by reference. *)
-val images : t -> Image.t list
 
 (** Pull by "name:tag": transfers the chunks missing from the host store,
     charging network time on the virtual clock.  Layers that move no bytes

@@ -13,11 +13,15 @@
      re-synchronize — the qcheck property tests pin this.
 
    - Cut positions are prefix-stable: the cuts of [s] within [0, n) equal
-     the cuts of any extension of [s] within [0, n).  [chunks_prefixed_uniform]
-     exploits this to chunk descriptor-backed content (a short header
-     followed by megabytes of one repeated pad byte) without materializing
-     it: beyond the settling window the hash is constant, so cuts become
-     periodic and the tail is emitted analytically. *)
+     the cuts of any extension of [s] within [0, n).
+
+   [chunks_prefixed_uniform] chunks descriptor-backed content (a short
+   header followed by megabytes of one repeated pad byte) without
+   materializing it.  Once the rolling window has passed the header, the
+   cut predicate is constant, so it scans only the header plus one window
+   and places every later cut arithmetically: O(prefix + mask_bits +
+   chunks), with no settling sample and nothing rendered beyond the
+   chunks that touch the header. *)
 
 open Repro_util
 
@@ -28,9 +32,6 @@ type params = {
 }
 
 let default_params = { min_size = 4096; mask_bits = 13; max_size = 65536 }
-
-let () =
-  assert (default_params.min_size < default_params.max_size)
 
 type chunk = { digest : string; size : int }
 
@@ -44,28 +45,35 @@ let validate p =
   if p.min_size <= 0 || p.max_size <= p.min_size || p.mask_bits <= 0 then
     invalid_arg "Chunker: need 0 < min_size < max_size and mask_bits > 0"
 
-(* Exclusive end offsets of every chunk of [s]; the final offset is
-   [String.length s].  Empty string -> []. *)
-let cut_points ?(params = default_params) s =
-  validate params;
+(* The gear loop over the bytes [byte 0 .. byte (n - 1)]: calls [cut pos]
+   at every cut position below or at [n], and returns whether the hash
+   after the last byte qualifies as a cut, and the last cut (0 if none). *)
+let scan params ~byte n cut =
   let g = Lazy.force gear in
   let cutmask = (1 lsl params.mask_bits) - 1 in
-  let n = String.length s in
-  let cuts = ref [] in
   let start = ref 0 in
   let h = ref 0 in
   for i = 0 to n - 1 do
-    h := ((!h lsl 1) + g.(Char.code (String.unsafe_get s i))) land max_int;
+    h := ((!h lsl 1) + g.(Char.code (byte i))) land max_int;
     let pos = i + 1 in
     if
       (pos - !start >= params.min_size && !h land cutmask = 0)
       || pos - !start = params.max_size
     then begin
-      cuts := pos :: !cuts;
+      cut pos;
       start := pos
     end
   done;
-  if n > 0 && !start < n then cuts := n :: !cuts;
+  (!h land cutmask = 0, !start)
+
+(* Exclusive end offsets of every chunk of [s]; the final offset is
+   [String.length s].  Empty string -> []. *)
+let cut_points ?(params = default_params) s =
+  validate params;
+  let n = String.length s in
+  let cuts = ref [] in
+  let _, start = scan params ~byte:(String.unsafe_get s) n (fun pos -> cuts := pos :: !cuts) in
+  if n > 0 && start < n then cuts := n :: !cuts;
   List.rev !cuts
 
 let split ?params s =
@@ -79,51 +87,59 @@ let chunk_of_bytes b = { digest = Digest.string b; size = String.length b }
 
 let chunks_of_string ?params s = List.map chunk_of_bytes (split ?params s)
 
-(* [chunks_prefixed_uniform ~prefix ~fill ~total] == [chunks_of_string
-   (prefix ^ String.make (total - length prefix) fill)], in
-   O(prefix + max_size) instead of O(total).
+(* Chunks lying wholly inside a uniform fill depend only on (fill, len),
+   and a fill tail is one period repeated plus a remainder, so their
+   descriptors are memoized process-wide: a multi-megabyte fill costs a
+   few digests of at most [max_size] bytes once ever, and list cells per
+   call. *)
+let uniform_memo : (char * int, chunk) Hashtbl.t = Hashtbl.create 64
 
-   After the rolling window (mask_bits bytes) has passed the prefix, the
-   hash is a constant H(fill): either H qualifies at every position (cuts
-   every min_size) or never (forced cuts every max_size).  We chunk a
-   sample long enough to reach that steady state, keep its cuts verbatim
-   (prefix stability), and extrapolate the periodic tail. *)
+let uniform_chunk fill len =
+  match Hashtbl.find_opt uniform_memo (fill, len) with
+  | Some c -> c
+  | None ->
+      let c = chunk_of_bytes (String.make len fill) in
+      Hashtbl.replace uniform_memo (fill, len) c;
+      c
+
+(* [chunks_prefixed_uniform ~prefix ~fill ~total] == [chunks_of_string
+   (prefix ^ String.make (total - length prefix) fill)] in
+   O(prefix + mask_bits + chunks) instead of O(total).
+
+   The gear loop runs over the virtual bytes [prefix.[i]] then [fill], but
+   only up to [steady = plen + mask_bits]: from there on the low
+   [mask_bits] hash bits are those of pure fill, so the cut predicate is a
+   constant.  Either every position qualifies (cuts every [min_size] from
+   the last scanned cut) or none does (forced cuts every [max_size]).
+   Only chunks touching the prefix are rendered, each at most [max_size]
+   bytes. *)
 let chunks_prefixed_uniform ?(params = default_params) ~prefix ~fill ~total () =
   validate params;
   let plen = String.length prefix in
   if total < plen then invalid_arg "Chunker.chunks_prefixed_uniform: total < prefix";
-  let settle = (4 * params.max_size) + params.mask_bits in
-  if total <= plen + settle + params.max_size then
-    chunks_of_string ~params (prefix ^ String.make (total - plen) fill)
-  else begin
-    let sample = prefix ^ String.make settle fill in
-    let slen = String.length sample in
-    let cuts = List.filter (fun c -> c < slen) (cut_points ~params sample) in
-    (* last three cuts are deep in the uniform region: equal spacing *)
-    let rec last3 = function
-      | [ a; b; c ] -> (a, b, c)
-      | _ :: tl -> last3 tl
-      | [] -> assert false
+  let byte i = if i < plen then String.unsafe_get prefix i else fill in
+  let chunks = ref [] in
+  let start = ref 0 in
+  let emit cut =
+    let len = cut - !start in
+    let c =
+      if !start >= plen then uniform_chunk fill len
+      else chunk_of_bytes (String.init len (fun k -> byte (!start + k)))
     in
-    let c0, c1, c2 = last3 cuts in
-    let period = c2 - c1 in
-    assert (c1 - c0 = period && c2 > plen + params.mask_bits);
-    (* head: the sample's chunks up to c2 are exact chunks of the full blob *)
-    let head, _ =
-      List.fold_left
-        (fun (acc, prev) cut -> (chunk_of_bytes (String.sub sample prev (cut - prev)) :: acc, cut))
-        ([], 0)
-        (List.filter (fun c -> c <= c2) cuts)
-    in
-    let head = List.rev head in
-    (* tail: identical uniform chunks of [period] bytes, then the remainder *)
-    let remaining = total - c2 in
-    let n_body = remaining / period in
-    let rem = remaining mod period in
-    let body_chunk = chunk_of_bytes (String.make period fill) in
-    let body = List.init n_body (fun _ -> body_chunk) in
-    let tail = if rem = 0 then body else body @ [ chunk_of_bytes (String.make rem fill) ] in
-    head @ tail
-  end
+    chunks := c :: !chunks;
+    start := cut
+  in
+  let steady = min total (plen + params.mask_bits) in
+  let qualifies, _ = scan params ~byte steady emit in
+  (* [start + step] lies beyond [steady] in both arms: the scan leaves
+     [steady - start < max_size], and had [steady] qualified at least
+     [min_size] past [start] the scan would have cut there.  So this loop
+     only runs past the scan, where the predicate is constant. *)
+  let step = if qualifies then params.min_size else params.max_size in
+  while !start + step <= total do
+    emit (!start + step)
+  done;
+  if !start < total then emit total;
+  List.rev !chunks
 
 let manifest_bytes chunks = List.fold_left (fun acc c -> acc + c.size) 0 chunks

@@ -57,6 +57,24 @@ let test_content_kinds () =
   check_b "binary parses" true
     (match Binfmt.parse (Content.render b) with Some (Binfmt.Bin "gdb") -> true | _ -> false)
 
+(* [Blobs] chunks descriptors without rendering them; its manifests must
+   equal chunking the rendered bytes, whatever the descriptor kind. *)
+let test_blob_chunks_match_render () =
+  let module Chunker = Repro_store.Chunker in
+  List.iter
+    (fun (name, c) ->
+      let chunks = Blobs.content_chunks c in
+      check_b (name ^ " chunks") true (chunks = Chunker.chunks_of_string (Content.render c));
+      check_i (name ^ " manifest bytes") (Content.size c) (Chunker.manifest_bytes chunks))
+    [
+      ("literal", Content.Literal "#!/bin/sh\necho hello\n");
+      ("empty filler", Content.Filler 0);
+      ("filler 5000", Content.Filler 5000);
+      ("filler 400000", Content.Filler 400_000);
+      ("binary padded", Content.Binary { prog = "gdb"; size = 200_000 });
+      ("binary below header", Content.Binary { prog = "appmain"; size = 3 });
+    ]
+
 (* Incompressible content: every CDC chunk is unique, so a cold pull must
    transfer the full byte count and the bandwidth model is visible. *)
 let incompressible ~seed n = Bytes.to_string (Rng.bytes (Rng.create ~seed) n)
@@ -247,6 +265,7 @@ let () =
           Alcotest.test_case "layer size & paths" `Quick test_layer_size;
           Alcotest.test_case "union + whiteout" `Quick test_union_whiteout;
           Alcotest.test_case "content kinds" `Quick test_content_kinds;
+          Alcotest.test_case "blob chunks match render" `Quick test_blob_chunks_match_render;
         ] );
       ( "registry",
         [

@@ -88,6 +88,116 @@ let prop_uniform_fast_path =
       Chunker.chunks_prefixed_uniform ~params:small ~prefix ~fill ~total ()
       = Chunker.chunks_of_string ~params:small rendered)
 
+(* [chunks_prefixed_uniform] checked against chunking the rendered bytes *)
+let check_uniform ?params ~prefix ~fill ~total () =
+  let rendered = prefix ^ String.make (total - String.length prefix) fill in
+  check_b
+    (Printf.sprintf "prefix %d bytes, fill %C, total %d" (String.length prefix) fill total)
+    true
+    (Chunker.chunks_prefixed_uniform ?params ~prefix ~fill ~total ()
+    = Chunker.chunks_of_string ?params rendered)
+
+(* Past the rolling window a uniform fill either qualifies at every
+   position (cuts every min_size) or at none (forced cuts every max_size).
+   No byte value qualifies under the default params, so the qualifying arm
+   is pinned here with [small], with one fill byte of each kind found at
+   test time. *)
+let test_uniform_both_arms () =
+  let period c =
+    match Chunker.cut_points ~params:small (String.make (2 * small.Chunker.max_size) c) with
+    | first :: _ -> first
+    | [] -> assert false
+  in
+  let bytes = List.init 256 Char.chr in
+  let find size = List.find (fun c -> period c = size) bytes in
+  let qualifying = find small.Chunker.min_size in
+  let forced = find small.Chunker.max_size in
+  let prefix = Bytes.to_string (Repro_util.Rng.bytes (Repro_util.Rng.create ~seed:3) 100) in
+  List.iter
+    (fun (fill, step) ->
+      List.iter
+        (fun prefix ->
+          let plen = String.length prefix in
+          List.iter
+            (fun extra -> check_uniform ~params:small ~prefix ~fill ~total:(plen + extra) ())
+            [ 0; 1; 4; 5; 6; 31; 32; 33; 255; 256; 257; 1000; 5000 ];
+          (* deep in the tail every chunk is one period long *)
+          let sizes =
+            List.map
+              (fun c -> c.Chunker.size)
+              (Chunker.chunks_prefixed_uniform ~params:small ~prefix ~fill ~total:(plen + 5000) ())
+          in
+          let tail = List.filteri (fun i _ -> i >= 3 && i < List.length sizes - 1) sizes in
+          check_b "steady period" true (tail <> [] && List.for_all (( = ) step) tail))
+        [ ""; prefix ])
+    [ (qualifying, small.Chunker.min_size); (forced, small.Chunker.max_size) ]
+
+(* The two shapes [Blobs] chunks ([Filler]: no prefix, 'D'; [Binary]: a
+   "#!BIN" header, 'x') under the default params (4 KiB / 13 bits /
+   64 KiB), at every cut-over size of the forced-cut arm and at the edge
+   where an earlier version switched from rendering the whole blob to
+   extrapolating a settled sample. *)
+let test_uniform_blob_shapes () =
+  let max_size = 65536 in
+  let settle_edge = (4 * max_size) + 13 + max_size in
+  List.iter
+    (fun (prefix, fill) ->
+      let plen = String.length prefix in
+      List.iter
+        (fun extra -> check_uniform ~prefix ~fill ~total:(plen + extra) ())
+        [ 0; 1; 12; 13; 14; 4095; 65535; 65536; 65537; settle_edge - 1; settle_edge;
+          settle_edge + 1; (3 * 1024 * 1024) + 7 ])
+    [ ("", 'D'); ("#!BIN appmain\n", 'x') ]
+
+(* a prefix longer than max_size (64 KiB by default, 256 for [small]):
+   every chunk touching it is rendered, the fill after it extrapolated *)
+let test_uniform_long_prefix () =
+  let prefix = Bytes.to_string (Repro_util.Rng.bytes (Repro_util.Rng.create ~seed:5) 150_000) in
+  let plen = String.length prefix in
+  List.iter
+    (fun extra -> check_uniform ~prefix ~fill:'x' ~total:(plen + extra) ())
+    [ 0; 1; 13; 14; 70_000; 300_001 ];
+  let prefix = String.sub prefix 0 1000 in
+  List.iter
+    (fun extra -> check_uniform ~params:small ~prefix ~fill:'x' ~total:(1000 + extra) ())
+    [ 0; 1; 5; 6; 300; 2000 ]
+
+(* Cuts landing just before, at and just after the end of the prefix: the
+   chunk holding the last prefix byte must be rendered, the chunk starting
+   at the prefix end may come from the fill memo.  Each prefix is cut from
+   a random string at one of its own cuts (cuts are prefix-stable), and the
+   fill differs from the prefix's last byte. *)
+let test_uniform_cut_at_prefix_edge () =
+  let s = Bytes.to_string (Repro_util.Rng.bytes (Repro_util.Rng.create ~seed:9) 3000) in
+  List.iter
+    (fun cut ->
+      List.iter
+        (fun plen ->
+          if plen >= 1 && plen <= String.length s then begin
+            let prefix = String.sub s 0 plen in
+            let fill = Char.chr ((Char.code prefix.[plen - 1] + 1) land 0xff) in
+            List.iter
+              (fun extra -> check_uniform ~params:small ~prefix ~fill ~total:(plen + extra) ())
+              [ 0; 1; 700 ]
+          end)
+        [ cut - 1; cut; cut + 1 ])
+    (Chunker.cut_points ~params:small s)
+
+(* Allocation guard: a multi-megabyte fill costs list cells, not bytes.
+   Once the 64 KiB period chunk is memoized, chunking 3 MiB + 37 of 'D'
+   measured a [Gc.allocated_bytes] delta of about 835 KiB when each call
+   rendered, substring-ed and digested a 256 KiB settling sample, and
+   under 1 KiB (about 580 minor words) now that nothing longer than one
+   chunk is rendered and wholly-fill chunks come from a memo. *)
+let test_uniform_allocation () =
+  let call total = Chunker.chunks_prefixed_uniform ~prefix:"" ~fill:'D' ~total () in
+  ignore (call 3_145_728);
+  let before = Gc.allocated_bytes () in
+  let chunks = call (3_145_728 + 37) in
+  let allocated = Gc.allocated_bytes () -. before in
+  check_i "manifest covers the blob" (3_145_728 + 37) (Chunker.manifest_bytes chunks);
+  check_b (Printf.sprintf "allocated %.0f bytes <= 64 KiB" allocated) true (allocated <= 65536.)
+
 (* concatenation property the registry relies on: chunks of a shared
    prefix survive as a prefix of the chunk list of any extension *)
 let prop_prefix_stable =
@@ -162,6 +272,11 @@ let () =
           Alcotest.test_case "bounded invalidation" `Quick (qcheck prop_bounded_invalidation);
           Alcotest.test_case "analytic uniform path" `Quick (qcheck prop_uniform_fast_path);
           Alcotest.test_case "prefix stable" `Quick (qcheck prop_prefix_stable);
+          Alcotest.test_case "uniform fill both cut arms" `Quick test_uniform_both_arms;
+          Alcotest.test_case "uniform fill blob shapes" `Quick test_uniform_blob_shapes;
+          Alcotest.test_case "uniform fill long prefix" `Quick test_uniform_long_prefix;
+          Alcotest.test_case "uniform fill cut at prefix edge" `Quick test_uniform_cut_at_prefix_edge;
+          Alcotest.test_case "uniform fill allocation" `Quick test_uniform_allocation;
         ] );
       ( "store",
         [
