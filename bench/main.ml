@@ -1,9 +1,10 @@
 (* The evaluation harness: regenerates every table and figure of the
    paper's §5 (see DESIGN.md's per-experiment index).
 
-     dune exec bench/main.exe            # everything
-     dune exec bench/main.exe e2 e4      # selected experiments
-     dune exec bench/main.exe micro      # bechamel wall-clock micro-benches
+     dune exec bench/main.exe               # the no-argument set (see [all])
+     dune exec bench/main.exe e2 e4         # selected experiments
+     dune exec bench/main.exe -- e2 --json  # also write BENCH_e2.json
+     dune exec bench/main.exe micro         # bechamel wall-clock micro-benches
 
    E1  §5.1   xfstests: 94 generic tests, native vs CntrFS
    E2  Fig 2  Phoronix suite relative overheads (20 benchmarks)
@@ -25,6 +26,14 @@ let write_file path text =
   output_string oc text;
   output_char oc '\n';
   close_out oc
+
+(* Every claim an experiment makes is checked with [gate ok msg].  A failed
+   gate does not stop the experiment, so its report still prints in full;
+   the driver reports each failure, withholds the experiment's table and
+   exits 1.  Gates test the typed values, never the rendered table. *)
+let failed_gates = ref []
+
+let gate ok msg = if not ok then failed_gates := msg :: !failed_gates
 
 (* --- E1: xfstests ----------------------------------------------------------- *)
 
@@ -81,13 +90,12 @@ let e2 () =
       [ ("experiment", Str "e2"); ("metric", Str "relative overhead (cntrfs/native)");
         ("workloads", List (List.map row rows)) ])
 
-(* E2 smoke mode: one workload per family through the CntrFS backend, all
-   feeding one shared registry, dumped as BENCH_smoke.json.  Runs under
-   `dune runtest` as a fast end-to-end check that the observability layer
-   sees real traffic from every subsystem. *)
+(* Smoke: one workload per family through the CntrFS backend, all feeding
+   one shared registry, whose dump is the table.  A fast end-to-end check
+   that the observability layer sees real traffic from every subsystem. *)
 
-let e2_smoke () =
-  section "E2 (smoke) one workload per family -> BENCH_smoke.json";
+let smoke () =
+  section "Smoke: one Figure 2 workload per family, one shared registry";
   let wanted =
     [ "IOzone: Read"; "IOzone: Write"; "PostMark"; "Compileb.: Read"; "Gzip" ]
   in
@@ -106,16 +114,12 @@ let e2_smoke () =
       Printf.printf "  %-22s %12d virtual ns\n%!" w.Repro_workloads.Bench_env.w_name ns)
     smoke;
   let metrics = Repro_obs.Obs.metrics obs in
-  write_file "BENCH_smoke.json" (Jsonx.to_string (Repro_obs.Metrics.to_json metrics));
   let c name = Repro_obs.Metrics.counter_value metrics name in
-  Printf.printf
-    "wrote BENCH_smoke.json: %d workloads, %d fuse requests, %d syscalls, %d lookups\n%!"
+  Printf.printf "%d workloads, %d fuse requests, %d syscalls, %d lookups\n%!"
     (List.length smoke) (c "fuse.req.count") (c "os.syscall.count")
     (c "cntrfs.lookup.count");
-  if c "fuse.req.count" = 0 || c "os.syscall.count" = 0 then begin
-    Printf.eprintf "smoke: registry saw no traffic\n";
-    exit 1
-  end
+  gate (c "fuse.req.count" <> 0 && c "os.syscall.count" <> 0) "registry saw no traffic";
+  Repro_obs.Metrics.to_json metrics
 
 (* --- E2a: zero-copy data-path ablation --------------------------------------- *)
 
@@ -125,9 +129,9 @@ let e2_smoke () =
    move by page remapping, priced setup + per-page), and splice+passthrough
    (granted opens bypass the FUSE round trip onto the backing file).
 
-   Self-gating: the ladder must hold on every streaming row — passthrough
-   must strictly cut overhead vs. the copy baseline, and must never
-   regress the splice-only leg.  A violated rung exits 1. *)
+   Gates: the ladder must hold on every streaming row — passthrough must
+   strictly cut overhead vs. the copy baseline, and must never regress
+   the splice-only leg. *)
 let e2a () =
   section "E2a (ablation) data path: copy vs splice vs splice+passthrough";
   let open Repro_fuse in
@@ -161,22 +165,15 @@ let e2a () =
      page cache and flush in the background, the grant never bites, and
      the three legs must price identically.  Every read-streaming row must
      strictly improve down the ladder. *)
-  let fail = ref false in
   List.iter
     (fun (name, c, s, p) ->
       let strict = not (String.equal name "IOzone: Write") in
-      if (strict && p >= c) || p > c +. 1e-9 then begin
-        Printf.eprintf "e2a: %s: passthrough (%.4fx) did not beat the copy baseline (%.4fx)\n"
-          name p c;
-        fail := true
-      end;
-      if p > s +. 1e-9 then begin
-        Printf.eprintf "e2a: %s: passthrough (%.4fx) regressed the splice leg (%.4fx)\n"
-          name p s;
-        fail := true
-      end)
+      gate
+        (not ((strict && p >= c) || p > c +. 1e-9))
+        (Printf.sprintf "%s: passthrough (%.4fx) did not beat the copy baseline (%.4fx)" name p c);
+      gate (p <= s +. 1e-9)
+        (Printf.sprintf "%s: passthrough (%.4fx) regressed the splice leg (%.4fx)" name p s))
     measured;
-  if !fail then exit 1;
   let row (name, c, s, p) =
     Jsonx.(
       Obj
@@ -229,28 +226,23 @@ let e4 () =
         "  %3d threads  %8.1f MB/s   steals: %4d   steal_fails: %4d   local_hits: %5d\n"
         c.cp_threads c.cp_mbps c.cp_steals c.cp_steal_fails c.cp_local_hits)
     contended;
-  (* Self-gates: the scheduler claims behind this PR, enforced on every
-     bench run so a regression fails CI rather than drifting the baseline. *)
-  let fail = ref false in
-  let check cond msg = if not cond then begin
-      Printf.eprintf "e4 gate FAILED: %s\n" msg; fail := true end
-  in
-  check (drop >= 0. && drop <= 3.)
+  (* the scheduler's claims, gated on every run so a regression fails
+     rather than drifting the baseline *)
+  gate (drop >= 0. && drop <= 3.)
     (Printf.sprintf "drop at 16 threads %.2f%% outside [0%%, 3%%]" drop);
   ignore
     (List.fold_left
        (fun prev p ->
-         check (p.tp_mbps <= prev +. 0.0001)
+         gate (p.tp_mbps <= prev +. 0.0001)
            (Printf.sprintf "throughput rose with more threads at %d (non-monotone tail)"
               p.tp_threads);
          p.tp_mbps)
        base points);
-  check ((at 256).tp_mbps /. base >= 0.95)
+  gate ((at 256).tp_mbps /. base >= 0.95)
     (Printf.sprintf "256-thread leg collapsed: %.3f of single-thread"
        ((at 256).tp_mbps /. base));
   let total_steals = List.fold_left (fun a c -> a + c.cp_steals) 0 contended in
-  check (total_steals > 0) "contended sweep recorded no steals";
-  if !fail then exit 1;
+  gate (total_steals > 0) "contended sweep recorded no steals";
   (* Everything below derives from the virtual clock and the fixed
      workload, so two runs write byte-identical files (the determinism
      test in test/test_workloads.ml relies on it). *)
@@ -321,8 +313,7 @@ let e5 () =
 (* E5 re-tabulated at registry scale: 5000 synthesized images across ~20
    program families, pushed into the content-addressed chunk store, then
    statically partitioned in parallel on the work-stealing fiber pool.
-   Self-gates (exit 1) at exactly N=5000: chunk-level dedup ratio must
-   beat 1.5x, the sweep must actually steal, the reduction distribution
+   Gates at exactly N=5000: chunk-level dedup ratio must beat 1.5x, the sweep must actually steal, the reduction distribution
    must be non-degenerate, and the static-partition slim image of every
    family must still run its entrypoint to exit 0. *)
 
@@ -332,10 +323,6 @@ let e5r () =
   section
     (Printf.sprintf "E5R (§5.3 at scale) chunk-dedup store + parallel static slimming of %d images"
        e5r_n);
-  let fail msg =
-    Printf.eprintf "E5R GATE FAILED: %s\n%!" msg;
-    exit 1
-  in
   let open Repro_image in
   let open Repro_slim in
   let open Repro_store in
@@ -343,7 +330,7 @@ let e5r () =
   let images = Family.synthesize ~n:e5r_n in
   let n = List.length images in
   Printf.printf "families: %d, images synthesized: %d\n%!" (List.length Family.specs) n;
-  if n <> e5r_n then fail (Printf.sprintf "synthesize returned %d images, want %d" n e5r_n);
+  gate (n = e5r_n) (Printf.sprintf "synthesize returned %d images, want %d" n e5r_n);
   (* 2. push everything into a content-addressed registry *)
   let clock = Clock.create () in
   let metrics = Repro_obs.Metrics.create () in
@@ -358,7 +345,7 @@ let e5r () =
     (Size.to_string (Store.logical_bytes store))
     (Size.to_string (Store.physical_bytes store));
   Printf.printf "  chunk-level dedup ratio: %.2fx (gate: > 1.5x)\n%!" dedup;
-  if dedup <= 1.5 then fail (Printf.sprintf "dedup ratio %.3f <= 1.5" dedup);
+  gate (dedup > 1.5) (Printf.sprintf "dedup ratio %.3f <= 1.5" dedup);
   (* 3. parallel static partitioning on the work-stealing fiber pool *)
   let sweep_clock = Clock.create () in
   let cost_ns image =
@@ -375,15 +362,15 @@ let e5r () =
     stats.Sweep.sw_images_per_s;
   Printf.printf "  steals: %d (fails %d), local hits: %d\n%!" stats.Sweep.sw_steals
     stats.Sweep.sw_steal_fails stats.Sweep.sw_local_hits;
-  if stats.Sweep.sw_steals <= 0 then fail "work-stealing sweep recorded no steals";
+  gate (stats.Sweep.sw_steals > 0) "work-stealing sweep recorded no steals";
   (* the table prints images_per_s with two decimals: below 0.005 it would
      read as 0.00, so the gate rejects that as well as non-positive rates *)
-  if stats.Sweep.sw_images_per_s < 0.005 then
-    fail
-      (Printf.sprintf "slimming throughput %g images/s prints as 0.00"
-         stats.Sweep.sw_images_per_s);
-  if Repro_obs.Metrics.counter_value metrics "sched.steals" <> stats.Sweep.sw_steals then
-    fail "sched.steals metric does not mirror the pool counter";
+  gate
+    (stats.Sweep.sw_images_per_s >= 0.005)
+    (Printf.sprintf "slimming throughput %g images/s prints as 0.00" stats.Sweep.sw_images_per_s);
+  gate
+    (Repro_obs.Metrics.counter_value metrics "sched.steals" = stats.Sweep.sw_steals)
+    "sched.steals metric does not mirror the pool counter";
   (* 4. the reduction distribution *)
   let reductions = List.map (fun r -> r.Partition.p_reduction *. 100.) reports in
   let mean = Stats.mean reductions in
@@ -398,8 +385,7 @@ let e5r () =
     counts;
   Printf.printf "mean static reduction: %.1f%%\n%!" mean;
   let nonzero = Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 counts in
-  if nonzero < 3 then
-    fail (Printf.sprintf "degenerate reduction distribution (%d nonzero buckets)" nonzero);
+  gate (nonzero >= 3) (Printf.sprintf "degenerate reduction distribution (%d nonzero buckets)" nonzero);
   (* 5. dynamic (fanotify) vs static (dependency graph) on one
         representative per family, with the static slim validated *)
   let world = Repro_cntr.Testbed.create () in
@@ -416,15 +402,14 @@ let e5r () =
           match Slimmer.analyze ~world image with
           | Ok r -> r.Slimmer.r_reduction
           | Error e ->
-              fail
+              failwith
                 (Printf.sprintf "dynamic analysis of %s failed: %s" (Image.ref_ image)
                    (Errno.to_string e))
         in
         Printf.printf "  %-10s %9.1f%% %9.1f%% %7s\n" spec.Family.f_name (100. *. dynamic)
           (100. *. static_report.Partition.p_reduction)
           (if valid then "yes" else "NO");
-        if not valid then
-          fail (Printf.sprintf "static slim of family %s failed validation" spec.Family.f_name);
+        gate valid (Printf.sprintf "static slim of family %s failed validation" spec.Family.f_name);
         (spec.Family.f_name, dynamic, static_report.Partition.p_reduction, valid))
       (Family.representatives ~n:e5r_n)
   in
@@ -746,14 +731,10 @@ let e8_scenario ~name ~recover ?opts ?(hold = false) ?(expect_pt = false) ?fault
   let ns = Int64.to_int (Int64.sub (Clock.now_ns clock) t0) in
   (match held with Some fd -> ignore (Kernel.close k init fd) | None -> ());
   if expect_pt then begin
-    if c "fuse.passthrough.grants" < 1 then begin
-      Printf.eprintf "e8: scenario %s: passthrough armed but no grant was issued\n" name;
-      exit 1
-    end;
-    if c "fuse.passthrough.revocations" < 1 then begin
-      Printf.eprintf "e8: scenario %s: crash with a live grant counted no revocation\n" name;
-      exit 1
-    end
+    gate (c "fuse.passthrough.grants" >= 1)
+      (Printf.sprintf "scenario %s: passthrough armed but no grant was issued" name);
+    gate (c "fuse.passthrough.revocations" >= 1)
+      (Printf.sprintf "scenario %s: crash with a live grant counted no revocation" name)
   end;
   Session.quiesce session;
   {
@@ -859,19 +840,18 @@ let e8 () =
      ENOTCONN and still never corrupts the app container *)
   List.iter
     (fun row ->
-      let fail msg =
-        Printf.eprintf "e8: scenario %s violated the robustness contract: %s\n" row.x_name msg;
-        exit 1
+      let violated what =
+        Printf.sprintf "scenario %s violated the robustness contract: %s" row.x_name what
       in
-      if not row.x_integrity then fail "backing bytes changed";
-      if not row.x_enotconn_only then fail "non-ENOTCONN residual failure";
+      gate row.x_integrity (violated "backing bytes changed");
+      gate row.x_enotconn_only (violated "non-ENOTCONN residual failure");
       if String.equal row.x_name "crash-norecover" then begin
-        if row.x_usable then fail "usable without recovery";
-        if row.x_recoveries <> 0 then fail "unexpected recovery"
+        gate (not row.x_usable) (violated "usable without recovery");
+        gate (row.x_recoveries = 0) (violated "unexpected recovery")
       end
       else begin
-        if not row.x_usable then fail "not usable after recovery";
-        if row.x_recoveries < 1 then fail "no recovery counted"
+        gate row.x_usable (violated "not usable after recovery");
+        gate (row.x_recoveries >= 1) (violated "no recovery counted")
       end)
     rows;
   let scenario row =
@@ -1063,32 +1043,26 @@ let e9 () =
   Printf.printf "constrained-buffer stalls (4 KiB staging): %d\n%!" stalls;
   (* acceptance gates: identical bytes either mode; zero-copy wins bulk
      streaming at scale; the constrained cell really exercises backpressure *)
-  let fail msg =
-    Printf.eprintf "e9: %s\n" msg;
-    exit 1
-  in
   List.iter
     (fun workload ->
       List.iter
         (fun conns ->
           let s = find workload conns "splice" and c = find workload conns "copy" in
-          if s.p_bytes <> c.p_bytes then
-            fail
-              (Printf.sprintf "%s x%d: splice moved %d bytes, copy %d" workload conns
-                 s.p_bytes c.p_bytes);
-          if s.p_splices = 0 then
-            fail (Printf.sprintf "%s x%d: splice mode made no splice calls" workload conns))
+          gate (s.p_bytes = c.p_bytes)
+            (Printf.sprintf "%s x%d: splice moved %d bytes, copy %d" workload conns s.p_bytes
+               c.p_bytes);
+          gate (s.p_splices <> 0)
+            (Printf.sprintf "%s x%d: splice mode made no splice calls" workload conns))
         [ 1; 8; 64 ])
     [ "chatter"; "bulk" ];
   List.iter
     (fun conns ->
       let s = find "bulk" conns "splice" and c = find "bulk" conns "copy" in
-      if s.p_ns >= c.p_ns then
-        fail
-          (Printf.sprintf "bulk x%d: splice datapath (%d ns) did not beat copy (%d ns)" conns
-             s.p_ns c.p_ns))
+      gate (s.p_ns < c.p_ns)
+        (Printf.sprintf "bulk x%d: splice datapath (%d ns) did not beat copy (%d ns)" conns
+           s.p_ns c.p_ns))
     [ 8; 64 ];
-  if stalls <= 0 then fail "constrained-buffer cell recorded no stalls";
+  gate (stalls > 0) "constrained-buffer cell recorded no stalls";
   let cell r =
     Jsonx.(
       Obj
@@ -1467,16 +1441,13 @@ let fleet () =
   Printf.printf
     "\ntotals: %d sessions (%d rpc calls), %d rejected, %d cancelled, %d recovered, %d still active\n%!"
     sessions rpc_calls rejected cancelled recovered active_end;
-  let fail msg =
-    Printf.eprintf "fleet: %s\n" msg;
-    exit 1
-  in
-  if sessions <> fleet_shards * fleet_target then
-    fail (Printf.sprintf "expected exactly %d sessions, got %d" (fleet_shards * fleet_target) sessions);
-  if rejected = 0 then fail "no admission rejections — quotas never bit";
-  if cancelled = 0 then fail "no cancellations — $/cancel never fired";
-  if recovered < 1 then fail "no recoveries — the ctrl fault site never crashed a server";
-  if active_end <> 0 then fail (Printf.sprintf "%d sessions leaked past the drain" active_end);
+  gate
+    (sessions = fleet_shards * fleet_target)
+    (Printf.sprintf "expected exactly %d sessions, got %d" (fleet_shards * fleet_target) sessions);
+  gate (rejected <> 0) "no admission rejections — quotas never bit";
+  gate (cancelled <> 0) "no cancellations — $/cancel never fired";
+  gate (recovered >= 1) "no recoveries — the ctrl fault site never crashed a server";
+  gate (active_end = 0) (Printf.sprintf "%d sessions leaked past the drain" active_end);
   let fw = fleet_wire_shard () in
   Printf.printf "\nwire shard: %d sessions over framed connections (%d conns, %d envelopes)\n"
     fw.fw_sessions fw.fw_conns fw.fw_batches;
@@ -1493,21 +1464,21 @@ let fleet () =
     fw.fw_frame_max;
   Printf.printf "  slow reader: %d stats answered (%d ok, %d refused -32005), %d events\n%!"
     (fw.fw_storm_ok + fw.fw_storm_refused) fw.fw_storm_ok fw.fw_storm_refused fw.fw_events;
-  if fw.fw_sessions < 1000 then
-    fail (Printf.sprintf "wire shard: %d sessions, need >= 1000 over framed connections" fw.fw_sessions);
-  if fw.fw_speedup <= 1.0 then
-    fail (Printf.sprintf "wire shard: pipelining did not beat one-at-a-time (x%.3f)" fw.fw_speedup);
-  if fw.fw_pipelined_max <= 1 then fail "wire shard: no pipelining observed on any connection";
-  if fw.fw_stalls = 0 then fail "wire shard: slow reader never hit the high watermark";
-  if fw.fw_overloaded = 0 then fail "wire shard: the in-flight cap never refused a request";
-  if fw.fw_backlog_peak > fleet_wire_high + fw.fw_frame_max then
-    fail
-      (Printf.sprintf "wire shard: unbounded backlog — peak %d > high %d + frame %d"
-         fw.fw_backlog_peak fleet_wire_high fw.fw_frame_max);
-  if fw.fw_storm_ok + fw.fw_storm_refused <> fleet_wire_storm then
-    fail
-      (Printf.sprintf "wire shard: storm replies lost or duplicated (%d + %d <> %d)"
-         fw.fw_storm_ok fw.fw_storm_refused fleet_wire_storm);
+  gate (fw.fw_sessions >= 1000)
+    (Printf.sprintf "wire shard: %d sessions, need >= 1000 over framed connections" fw.fw_sessions);
+  gate (fw.fw_speedup > 1.0)
+    (Printf.sprintf "wire shard: pipelining did not beat one-at-a-time (x%.3f)" fw.fw_speedup);
+  gate (fw.fw_pipelined_max > 1) "wire shard: no pipelining observed on any connection";
+  gate (fw.fw_stalls <> 0) "wire shard: slow reader never hit the high watermark";
+  gate (fw.fw_overloaded <> 0) "wire shard: the in-flight cap never refused a request";
+  gate
+    (fw.fw_backlog_peak <= fleet_wire_high + fw.fw_frame_max)
+    (Printf.sprintf "wire shard: unbounded backlog — peak %d > high %d + frame %d"
+       fw.fw_backlog_peak fleet_wire_high fw.fw_frame_max);
+  gate
+    (fw.fw_storm_ok + fw.fw_storm_refused = fleet_wire_storm)
+    (Printf.sprintf "wire shard: storm replies lost or duplicated (%d + %d <> %d)" fw.fw_storm_ok
+       fw.fw_storm_refused fleet_wire_storm);
   let wait = function
     | None -> Jsonx.Null
     | Some s ->
@@ -1603,59 +1574,63 @@ let micro () =
 
 (* --- driver ---------------------------------------------------------------------- *)
 
-(* An experiment either prints a report only, or also returns its table.
-   With `--json` the driver writes each table to BENCH_<name>.json in the
-   current directory (the repo root, when run via `dune exec` from there).
-   Everything in a table derives from the virtual clock and the fixed
-   workload seeds, so two runs produce byte-identical files. *)
-type experiment = Report of (unit -> unit) | Table of (unit -> Jsonx.t)
+(* An experiment either prints a report only, or also returns its table,
+   which `--json` writes to BENCH_<name>.json in the current directory (the
+   repo root, when run via `dune exec` from there) with the table's
+   renderer.  Everything in a table derives from the virtual clock and the
+   fixed workload seeds, so two runs produce byte-identical files. *)
+type runner = Report of (unit -> unit) | Table of (Jsonx.t -> string) * (unit -> Jsonx.t)
 
+(* The one declaration of every experiment: name, whether the no-argument
+   run includes it, runner. *)
 let all =
-  [ ("e1", Report e1); ("e2", Table e2); ("e2a", Table e2a); ("e3", Report e3);
-    ("e3e", Table e3e); ("e4", Table e4); ("e5", Report e5); ("e5r", Table e5r);
-    ("e6", Report e6); ("e7", Report e7); ("e8", Table e8); ("e9", Table e9);
-    ("fleet", Table fleet); ("loc", Report e7); ("ablate", Report ablate);
-    ("cache", Report cache_sweep); ("micro", Report micro) ]
+  let table f = Table (Jsonx.to_string_table, f) in
+  [ ("e1", true, Report e1); ("e2", true, table e2); ("e2a", true, table e2a);
+    ("e3", true, Report e3); ("e3e", true, table e3e); ("e4", true, table e4);
+    ("e5", true, Report e5); ("e5r", false, table e5r); ("e6", true, Report e6);
+    ("e7", true, Report e7); ("e8", true, table e8); ("e9", true, table e9);
+    ("fleet", false, table fleet); ("smoke", false, Table (Jsonx.to_string, smoke));
+    ("ablate", true, Report ablate); ("cache", true, Report cache_sweep);
+    ("micro", true, Report micro) ]
+
+(* Runs one experiment; false when any of its gates failed.  A [Failure]
+   raised by the experiment aborts it and counts as a failed gate. *)
+let run json (name, _, runner) =
+  failed_gates := [];
+  let table =
+    try
+      match runner with
+      | Report f -> f (); None
+      | Table (render, f) -> Some (render, f ())
+    with Failure msg -> gate false msg; None
+  in
+  match (List.rev !failed_gates, table) with
+  | [], Some (render, t) when json ->
+      let path = "BENCH_" ^ name ^ ".json" in
+      write_file path (render t);
+      Printf.printf "wrote %s\n%!" path;
+      true
+  | [], _ -> true
+  | failures, _ ->
+      List.iter (Printf.eprintf "%s: gate failed: %s\n%!" name) failures;
+      false
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let smoke, args = List.partition (( = ) "--smoke") args in
   let json, args = List.partition (( = ) "--json") args in
-  if smoke <> [] then begin
-    (* `main.exe e2 --smoke` (the e2 is informative; --smoke selects) *)
-    Printf.printf "CNTR reproduction — evaluation harness (virtual-time simulation)\n";
-    e2_smoke ();
-    exit 0
-  end;
-  let names =
-    match args with
-    | [] ->
-        [ "e1"; "e2"; "e2a"; "e3"; "e3e"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "ablate"; "cache";
-          "micro" ]
-    | names -> names
-  in
+  let find arg = List.find_opt (fun (name, _, _) -> name = String.lowercase_ascii arg) all in
+  (match List.filter (fun a -> Option.is_none (find a)) args with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown experiment or flag: %s (known: %s; flag: --json)\n"
+        (String.concat " " unknown)
+        (String.concat ", " (List.map (fun (name, _, _) -> name) all));
+      exit 2);
   let to_run =
-    List.filter_map
-      (fun n ->
-        let name = String.lowercase_ascii n in
-        match List.assoc_opt name all with
-        | Some e -> Some (name, e)
-        | None ->
-            Printf.eprintf "unknown experiment %s (known: %s)\n" n
-              (String.concat ", " (List.map fst all));
-            None)
-      names
+    match args with
+    | [] -> List.filter (fun (_, default, _) -> default) all
+    | names -> List.filter_map find names
   in
   Printf.printf "CNTR reproduction — evaluation harness (virtual-time simulation)\n";
-  List.iter
-    (fun (name, e) ->
-      match e with
-      | Report f -> f ()
-      | Table f ->
-          let table = f () in
-          if json <> [] then begin
-            let path = "BENCH_" ^ name ^ ".json" in
-            write_file path (Jsonx.to_string_table table);
-            Printf.printf "wrote %s\n%!" path
-          end)
-    to_run
+  let ok = List.fold_left (fun ok e -> run (json <> []) e && ok) true to_run in
+  if not ok then exit 1

@@ -7,6 +7,7 @@ open Repro_util
 open Repro_image
 open Repro_runtime
 
+(* Tools baked into the debug image. *)
 let debug_tools = [ "gdb"; "strace"; "ps"; "top"; "vi"; "less"; "grep"; "find"; "stat"; "du"; "env"; "which"; "cat"; "ls"; "echo"; "mount"; "id"; "hostname" ]
 
 (* The "fat" image: an Alpine base stuffed with debugging tools.  Its

@@ -493,7 +493,6 @@ let obs t = Conn.obs t.conn
 let debug_pages t =
   Hashtbl.fold (fun (i, pg) b acc -> (i, pg, Bytes.get b 0) :: acc) t.pdata []
   |> List.sort compare
-let cache_stats t = Page_cache.stats t.pcache
 
 (* --- Fsops implementation ------------------------------------------------- *)
 

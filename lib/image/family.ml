@@ -68,6 +68,7 @@ let specs =
     fam "edgegw" `Scratch 0 192 24 16 0.03 0.12;
   ]
 
+(* Path of the family's shared runtime library. *)
 let runtime_lib spec = Printf.sprintf "/usr/lib/fam-%s.so" spec.f_name
 
 (* Byte size of the base-layer paths the application touches at runtime. *)

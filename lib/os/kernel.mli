@@ -57,7 +57,6 @@ val create : ?obs:Repro_obs.Obs.t -> clock:Clock.t -> cost:Cost.t -> root_fs:Fso
 
 val init_proc : t -> Proc.t
 val proc_by_pid : t -> int -> (Proc.t, Errno.t) result
-val all_procs : t -> Proc.t list
 
 (** Processes visible from a PID namespace (itself and its descendants). *)
 val procs_in_pidns : t -> Namespace.pid_ns -> Proc.t list

@@ -39,12 +39,4 @@ type user_ns = {
   mutable gid_map : mapping list;
 }
 
-let map_to_ns map host_id =
-  List.find_map
-    (fun m ->
-      if host_id >= m.outside && host_id < m.outside + m.count then
-        Some (m.inside + (host_id - m.outside))
-      else None)
-    map
-
 let identity_map = [ { inside = 0; outside = 0; count = 1 lsl 32 } ]

@@ -26,5 +26,4 @@ type user_ns = {
   mutable gid_map : mapping list;
 }
 
-val map_to_ns : mapping list -> int -> int option
 val identity_map : mapping list

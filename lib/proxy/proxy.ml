@@ -109,7 +109,6 @@ let mode t = t.px_mode
 let proc t = t.px_proc
 let sched t = t.px_sched
 let connection_count fw = fw.fw_proxied
-let stream_closed cn = cn.cn_closed
 
 (* A fiber that dies takes the whole plane's credibility with it: remember
    the first exception and re-raise it at the next drain. *)
@@ -629,6 +628,8 @@ let forward t ~front_proc ~back_proc ?backend_path ?label path =
       ignore (Sched.spawn t.px_sched (fun () -> guard t (fun () -> accept_loop t fw)));
       Ok fw
 
+(* Stop accepting at this forwarder and close its listener; established
+   connections keep pumping. *)
 let close_forwarder t fw =
   if not fw.fw_closed then begin
     fw.fw_closed <- true;

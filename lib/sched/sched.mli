@@ -119,7 +119,6 @@ module Dq : sig
   val is_empty : 'a t -> bool
   val push_back : 'a t -> 'a -> unit
   val push_front : 'a t -> 'a -> unit
-  val peek_front : 'a t -> 'a option
   val pop_front : 'a t -> 'a option
   val pop_back : 'a t -> 'a option
 

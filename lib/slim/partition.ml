@@ -25,6 +25,7 @@ type report = {
   p_kept_paths : string list;
 }
 
+(* Sidecar suffix appended to a kept path to find its dependency list. *)
 let deps_suffix = ".deps"
 
 (* One sidecar line: "kind:path".  A bare path is treated as a lib. *)

@@ -11,14 +11,6 @@ type node = {
   mutable next : node option;
 }
 
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  writeback_ios : int;
-  writeback_pages : int;
-}
-
 module Metrics = Repro_obs.Metrics
 
 type t = {
@@ -97,16 +89,6 @@ let create ?metrics ~name ~budget ~page_size () =
 let budget t = t.budget
 let set_on_flush t f = t.on_flush <- f
 let set_on_evict t f = t.on_evict <- f
-
-(* Snapshot view over the registry counters. *)
-let stats t =
-  {
-    hits = Metrics.value t.m_hits;
-    misses = Metrics.value t.m_misses;
-    evictions = Metrics.value t.m_evictions;
-    writeback_ios = Metrics.value t.m_writeback_ios;
-    writeback_pages = Metrics.value t.m_writeback_pages;
-  }
 
 let unlink_node t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.lru_head <- n.next);
@@ -283,8 +265,6 @@ let invalidate_inode t ino =
       t.on_evict ~ino:n.key.k_ino ~page:n.key.k_page;
       Mem_budget.release t.budget t.page_size)
     to_remove
-
-let page_count t = Hashtbl.length t.pages
 
 let dirty_total t = t.dirty_total
 

@@ -2,16 +2,6 @@
     presence records for cost accounting; users that also need the bytes
     (the FUSE driver) keep them alongside and react to {!set_on_evict}. *)
 
-(** Immutable snapshot of the cache's registry counters, taken by
-    {!stats}. *)
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  writeback_ios : int;
-  writeback_pages : int;
-}
-
 type t
 
 (** Counters are registered on [metrics] (a private registry when omitted)
@@ -30,13 +20,7 @@ val set_on_flush : t -> (ino:int -> page:int -> pages:int -> unit) -> unit
     discard). *)
 val set_on_evict : t -> (ino:int -> page:int -> unit) -> unit
 
-(** Fresh snapshot of the registry counters. *)
-val stats : t -> stats
-
 val budget : t -> Mem_budget.t
-
-(** Group a page list into (start, count) contiguous runs. *)
-val runs_of_pages : int list -> (int * int) list
 
 (** Write all dirty pages of an inode out as contiguous runs. *)
 val flush_inode : t -> int -> unit
@@ -63,5 +47,3 @@ val discard_inode : t -> int -> unit
 
 (** Flush then drop an inode's pages (FUSE open without FOPEN_KEEP_CACHE). *)
 val invalidate_inode : t -> int -> unit
-
-val page_count : t -> int

@@ -92,6 +92,8 @@ let make_tree env ~via base =
     done
   done
 
+(* Recursive readdir + read of every file under a directory (the
+   compilebench read stage). *)
 let walk_tree env base =
   let rec go dir =
     let entries = Errno.ok_exn (Repro_os.Kernel.readdir env.kernel env.proc dir) in

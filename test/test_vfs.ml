@@ -73,16 +73,18 @@ let prop_fdata_model =
 
 (* --- Page cache ---------------------------------------------------------- *)
 
-let mk_cache ?(limit = 16 * 4096) () =
+let mk_cache ?metrics ?(limit = 16 * 4096) () =
   let budget = Mem_budget.create ~limit_bytes:limit in
-  (Page_cache.create ~name:"test" ~budget ~page_size:4096 (), budget)
+  (Page_cache.create ?metrics ~name:"test" ~budget ~page_size:4096 (), budget)
 
 let test_cache_hit_miss () =
-  let c, _ = mk_cache () in
+  let metrics = Repro_obs.Metrics.create () in
+  let c, _ = mk_cache ~metrics () in
+  let counter name = Repro_obs.Metrics.counter_value metrics ("vfs.page_cache.test." ^ name) in
   check_b "first is miss" true (Page_cache.touch c ~ino:1 ~page:0 ~dirty:false = `Miss);
   check_b "second is hit" true (Page_cache.touch c ~ino:1 ~page:0 ~dirty:false = `Hit);
-  check_i "hits" 1 (Page_cache.stats c).Page_cache.hits;
-  check_i "misses" 1 (Page_cache.stats c).Page_cache.misses
+  check_i "hits" 1 (counter "hits");
+  check_i "misses" 1 (counter "misses")
 
 let test_cache_eviction_lru () =
   let c, budget = mk_cache ~limit:(4 * 4096) () in
@@ -395,12 +397,12 @@ let test_fs_readonly () =
 
 (* --- disk-backed costs --------------------------------------------------- *)
 
-let mk_ssd_fs ?(limit = 64 * 4096) ?(flush_pages = 16) () =
+let mk_ssd_fs ?metrics ?(limit = 64 * 4096) ?(flush_pages = 16) () =
   let clock = Clock.create () in
   let budget = Mem_budget.create ~limit_bytes:limit in
   let cache = Page_cache.create ~name:"ext4" ~budget ~page_size:4096 () in
   let fs =
-    Nativefs.create ~name:"ext4" ~clock ~cost:Cost.default
+    Nativefs.create ?metrics ~name:"ext4" ~clock ~cost:Cost.default
       (Store.Ssd { cache; flush_pages })
       ()
   in
@@ -423,21 +425,22 @@ let test_ssd_costs_cached_reread_cheaper () =
   ops.Fsops.release fh
 
 let test_ssd_delete_before_flush_avoids_io () =
-  let ops, fs, _clock, _cache = mk_ssd_fs ~flush_pages:1000 () in
+  let metrics = Repro_obs.Metrics.create () in
+  let ops, _fs, _clock, _cache = mk_ssd_fs ~metrics ~flush_pages:1000 () in
   let _, fh = ok (ops.Fsops.create root_cred ops.Fsops.root "f" ~mode:0o644 [ Types.O_RDWR ]) in
   ignore (ok (ops.Fsops.write root_cred fh ~off:0 (String.make 8192 'x')));
   ops.Fsops.release fh;
   ok (ops.Fsops.unlink root_cred ops.Fsops.root "f");
-  let stats = Store.stats (Nativefs.store fs) in
-  check_i "no disk writes for deleted dirty file" 0 stats.Store.disk_write_ios
+  check_i "no disk writes for deleted dirty file" 0
+    (Repro_obs.Metrics.counter_value metrics "vfs.disk.write_ios")
 
 let test_ssd_fsync_forces_io () =
-  let ops, fs, _clock, _cache = mk_ssd_fs ~flush_pages:1000 () in
+  let metrics = Repro_obs.Metrics.create () in
+  let ops, _fs, _clock, _cache = mk_ssd_fs ~metrics ~flush_pages:1000 () in
   let _, fh = ok (ops.Fsops.create root_cred ops.Fsops.root "f" ~mode:0o644 [ Types.O_RDWR ]) in
   ignore (ok (ops.Fsops.write root_cred fh ~off:0 (String.make 8192 'x')));
   ok (ops.Fsops.fsync fh);
-  let stats = Store.stats (Nativefs.store fs) in
-  check_b "fsync wrote" true (stats.Store.disk_write_ios > 0);
+  check_b "fsync wrote" true (Repro_obs.Metrics.counter_value metrics "vfs.disk.write_ios" > 0);
   ops.Fsops.release fh
 
 (* --- Perm / ACL parsing --------------------------------------------------- *)
