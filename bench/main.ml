@@ -313,9 +313,10 @@ let e5 () =
 (* E5 re-tabulated at registry scale: 5000 synthesized images across ~20
    program families, pushed into the content-addressed chunk store, then
    statically partitioned in parallel on the work-stealing fiber pool.
-   Gates at exactly N=5000: chunk-level dedup ratio must beat 1.5x, the sweep must actually steal, the reduction distribution
-   must be non-degenerate, and the static-partition slim image of every
-   family must still run its entrypoint to exit 0. *)
+   Gates at exactly N=5000: chunk-level dedup ratio must beat 1.5x, the
+   sweep must actually steal, the reduction distribution must be
+   non-degenerate, and the static-partition slim image of every family
+   must still run its entrypoint to exit 0. *)
 
 let e5r_n = 5000
 
@@ -385,7 +386,8 @@ let e5r () =
     counts;
   Printf.printf "mean static reduction: %.1f%%\n%!" mean;
   let nonzero = Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 counts in
-  gate (nonzero >= 3) (Printf.sprintf "degenerate reduction distribution (%d nonzero buckets)" nonzero);
+  gate (nonzero >= 3)
+    (Printf.sprintf "degenerate reduction distribution (%d nonzero buckets)" nonzero);
   (* 5. dynamic (fanotify) vs static (dependency graph) on one
         representative per family, with the static slim validated *)
   let world = Repro_cntr.Testbed.create () in
