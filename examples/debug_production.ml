@@ -73,7 +73,8 @@ let () =
   let _fwd =
     ok
       (Proxy.forward plane ~front_proc:session.Attach.sn_shell_proc
-         ~back_proc:session.Attach.sn_server_proc ~backend_path:"/var/run/dbus.sock"
+         ~back_proc:session.Attach.sn_cntrfs.Repro_cntrfs.Session.server_proc
+         ~backend_path:"/var/run/dbus.sock"
          "/var/run/cntr-dbus.sock")
   in
   let cfd = ok (Kernel.socket_connect k session.Attach.sn_shell_proc "/var/run/cntr-dbus.sock") in

@@ -1,6 +1,7 @@
-(* Wiring: connection + driver + server = a mounted CntrFS.  Used directly
-   by the xfstests harness and the benchmarks; the full CNTR attach flow
-   (lib/core) builds the same session inside a nested namespace. *)
+(* Wiring: connection + driver + server = a mounted CntrFS.  Every CntrFS
+   mount is built here: the xfstests harness and the benchmarks mount it
+   directly, and the full CNTR attach flow (lib/core) mounts it inside a
+   nested namespace over the connection it opened on /dev/fuse. *)
 
 open Repro_vfs
 open Repro_os
@@ -20,23 +21,35 @@ type t = {
   mutable m_recoveries : Repro_obs.Metrics.counter option;
 }
 
+(* The one mapping from mount options to a server serving [root_path] as
+   [proc]: [create] and [recover] both launch through it. *)
+let launch_server ~kernel ~conn ~proc ~root_path opts =
+  Server.create ~sched:(Conn.sched conn) ~kernel ~proc ~root_path
+    ~handle_cache:opts.Opts.handle_cache
+    ~valid_ns:(opts.Opts.entry_timeout_ns, opts.Opts.attr_timeout_ns)
+    ~passthrough:opts.Opts.passthrough ()
+
 (* Create a CntrFS session: the server process [server_proc] serves
    [root_path] out of its own mount namespace.  The returned [fs] can be
-   mounted anywhere with [Kernel.mount_at].  [sched] is the discrete-event
-   scheduler the server's worker fibers run on; benchmarks pass the
-   workload's so client tasks and workers interleave, and it defaults to a
-   private one over the kernel's clock.
+   mounted anywhere with [Kernel.mount_at].  [conn] is the FUSE connection
+   to serve (attach passes the one it opened on /dev/fuse); by default a
+   fresh one is created.  [sched] is the discrete-event scheduler a fresh
+   connection's worker fibers run on; benchmarks pass the workload's so
+   client tasks and workers interleave, and it defaults to a private one
+   over the kernel's clock.
 
    [fault] arms a fault plan over the session: the connection consults it
    while serving, and the kernel's backing syscalls consult it for the
    server's process (tracked across recovery).  [retry] arms per-request
    deadlines + idempotent retry.  Neither given = the plane stays off and
    the session is byte-identical to an unarmed one. *)
-let create ~kernel ~server_proc ~root_path ?(opts = Opts.cntr_default) ?(threads = 4) ?sched
-    ?fault ?retry ~budget () =
+let create ~kernel ~server_proc ~root_path ?(opts = Opts.cntr_default) ?(threads = 4) ?conn
+    ?sched ?fault ?retry ~budget () =
   let obs = kernel.Kernel.obs in
   let conn =
-    Conn.create ~obs ?sched ~clock:kernel.Kernel.clock ~cost:kernel.Kernel.cost ()
+    match conn with
+    | Some conn -> conn
+    | None -> Conn.create ~obs ?sched ~clock:kernel.Kernel.clock ~cost:kernel.Kernel.cost ()
   in
   conn.Conn.threads <- threads;
   conn.Conn.max_background <- opts.Opts.max_background;
@@ -44,18 +57,16 @@ let create ~kernel ~server_proc ~root_path ?(opts = Opts.cntr_default) ?(threads
   Repro_obs.Metrics.set
     (Repro_obs.Metrics.gauge metrics "cntrfs.server.threads")
     (float_of_int threads);
-  let server =
-    Server.create ~sched:(Conn.sched conn) ~kernel ~proc:server_proc ~root_path
-      ~handle_cache:opts.Opts.handle_cache
-      ~valid_ns:(opts.Opts.entry_timeout_ns, opts.Opts.attr_timeout_ns)
-      ~passthrough:opts.Opts.passthrough ()
-  in
+  let server = launch_server ~kernel ~conn ~proc:server_proc ~root_path opts in
   Conn.set_handler conn (Server.handle server);
   let driver = Driver.create ~conn ~opts ~budget in
   let plane = Option.map (Fault.arm ~obs ~clock:kernel.Kernel.clock) fault in
   (match plane, retry with
   | None, None -> ()
   | _ -> Conn.supervise conn ?fault:plane ?retry ());
+  (* §3.2.2: the server blocks until the mounting side signals, over the
+     shared Unix socketpair, that CntrFS is mounted.  No request can reach
+     a mount that does not exist yet, so serving starts here. *)
   Conn.start_serving conn;
   let t =
     {
@@ -97,12 +108,7 @@ let recover t =
   let old = t.server_proc in
   let np = Kernel.fork t.kernel old in
   np.Proc.comm <- old.Proc.comm;
-  let server =
-    Server.create ~sched:(Conn.sched t.conn) ~kernel:t.kernel ~proc:np
-      ~root_path:t.root_path ~handle_cache:t.opts.Opts.handle_cache
-      ~valid_ns:(t.opts.Opts.entry_timeout_ns, t.opts.Opts.attr_timeout_ns)
-      ~passthrough:t.opts.Opts.passthrough ()
-  in
+  let server = launch_server ~kernel:t.kernel ~conn:t.conn ~proc:np ~root_path:t.root_path t.opts in
   Server.restore server pairs;
   t.server <- server;
   t.server_proc <- np;

@@ -1,7 +1,8 @@
 (** Wiring: FUSE connection + kernel-side driver + passthrough server = a
-    mountable CntrFS.  The xfstests harness and the benchmarks use this
-    directly; the full attach workflow builds the same session inside a
-    nested namespace. *)
+    mountable CntrFS.  Every CntrFS mount is built here: the xfstests
+    harness and the benchmarks use this directly, and the full attach
+    workflow ([cntr attach]) uses it to mount CntrFS inside a nested
+    namespace. *)
 
 open Repro_os
 open Repro_vfs
@@ -23,6 +24,9 @@ type t = {
 (** Create a serving session: [server_proc] serves [root_path] out of its
     own mount namespace.  [budget] is the page-cache budget the driver
     shares with the backing filesystems (double-buffering pressure).
+    [conn] is the FUSE connection to serve — attach passes the one it
+    opened on [/dev/fuse]; by default a fresh one is created ([sched] then
+    picks its scheduler).  Serving starts before [create] returns.
 
     [fault] arms a fault plan: the connection consults it while serving,
     and the kernel's backing syscalls consult it for the server's process
@@ -36,6 +40,7 @@ val create :
   root_path:string ->
   ?opts:Opts.t ->
   ?threads:int ->
+  ?conn:Conn.t ->
   ?sched:Repro_sched.Sched.t ->
   ?fault:Repro_fault.Fault.plan ->
   ?retry:Repro_fault.Fault.retry ->

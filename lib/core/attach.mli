@@ -39,25 +39,21 @@ module Config : sig
   val default : t
 end
 
-(** A live attach session. *)
+(** A live attach session.  Its CntrFS mount is a {!Repro_cntrfs.Session.t}
+    over the connection step #1 opened on [/dev/fuse]. *)
 type session = {
   sn_kernel : Kernel.t;
   sn_shell_proc : Proc.t;  (** the shell process, inside the nested namespace *)
-  mutable sn_server_proc : Proc.t;
-      (** the CntrFS server process; swapped by {!recover} *)
   sn_cntr_proc : Proc.t;  (** the cntr frontend process *)
   sn_tty : Tty.t;  (** pseudo-TTY master side *)
   sn_plane : Repro_proxy.Proxy.t;
       (** the forwarding plane carrying the TTY stream and socket proxies *)
-  sn_conn : Repro_fuse.Conn.t;  (** the FUSE connection (statistics live here) *)
-  sn_driver : Repro_fuse.Driver.t;
-  mutable sn_server : Repro_cntrfs.Server.t;  (** swapped by {!recover} *)
+  sn_cntrfs : Repro_cntrfs.Session.t;
+      (** the CntrFS mount: the /dev/fuse connection, driver, server and its
+          process ([server_proc], swapped by {!recover}), fault plane *)
   sn_ctx : Context.t;  (** the container context captured in step #1 *)
   sn_app_pid : int;  (** pid of the application container's main process *)
-  sn_config : Config.t;  (** the configuration the session was built with *)
-  sn_fault : Repro_fault.Fault.t option;  (** the armed fault plane, when any *)
   mutable sn_detached : bool;  (** set by the first {!detach} *)
-  mutable sn_recoveries : Repro_obs.Metrics.counter option;
 }
 
 (** The mountpoint of the nested root inside the application container's
@@ -100,9 +96,6 @@ val with_session :
 
 (** {2 Fault plane: test hooks and recovery} *)
 
-(** The armed fault plane, when the session was configured with one. *)
-val fault : session -> Repro_fault.Fault.t option
-
 (** Test hook: kill the CntrFS server out from under the session.  Queued
     and future requests resolve to [ENOTCONN] (in bounded virtual time)
     until {!recover}. *)
@@ -112,11 +105,11 @@ val crash_server : session -> unit
     nanoseconds — long enough to trip an armed deadline. *)
 val hang_server : session -> ns:int -> unit
 
-(** Relaunch the CntrFS server after a crash: fork a replacement (inheriting
-    the dead server's namespace view), replay the driver's inode map into it
-    ({!Repro_cntrfs.Server.restore}), swap the handler, revive the
-    connection and reopen the driver's file handles.  The mount, the shell
-    and the driver caches survive.  Counts under [session.recoveries]. *)
+(** Relaunch the CntrFS server after a crash: {!Repro_cntrfs.Session.recover}
+    on the session's mount.  The replacement forks from the dead server, so
+    it inherits its namespace view (a fat-container server stays inside the
+    fat container).  The mount, the shell and the driver caches survive.
+    Counts under [session.recoveries]. *)
 val recover : session -> unit
 
 (** The container context captured during step #1. *)

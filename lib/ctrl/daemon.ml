@@ -23,9 +23,7 @@ type config = {
   c_max_active : int;
   c_queue_depth : int;
   c_tenant : quota;
-  c_attach : Attach.Config.t;
   c_fault : Fault.plan option;
-  c_auto_recover : bool;
   c_sub_buffer : int;  (* undelivered events retained per subscriber *)
   (* wire plane: per-connection flow control *)
   c_wire_inflight : int;  (* admitted-but-unflushed requests per connection *)
@@ -38,9 +36,7 @@ let default_config =
     c_max_active = 64;
     c_queue_depth = 32;
     c_tenant = { q_active = 16; q_queued = 8 };
-    c_attach = Attach.Config.default;
     c_fault = None;
-    c_auto_recover = true;
     c_sub_buffer = 256;
     c_wire_inflight = 64;
     c_wire_high = 65536;
@@ -379,7 +375,7 @@ let apply_ctrl_fault t op ~on_crash =
 
 let remove t sess = Hashtbl.remove t.d_sessions sess.s_id
 
-let conn_dead a = a.Attach.sn_conn.Repro_fuse.Conn.dead
+let conn_dead a = a.Attach.sn_cntrfs.Repro_cntrfs.Session.conn.Repro_fuse.Conn.dead
 
 let handle_op t sess op =
   match op with
@@ -395,9 +391,8 @@ let handle_op t sess op =
         | Some e ->
             reply t p (Error (Rpc.error ~data:(errno_data e) Rpc.fault_injected "exec fault injected"))
         | None ->
-            let recovered = ref false in
-            let dead = conn_dead a in
-            if dead && t.d_config.c_auto_recover then begin
+            let recovered = conn_dead a in
+            if recovered then begin
               sess.s_state <- Recovering;
               emit t "session.recovering" [ ("session", Jsonx.Int sess.s_id) ];
               (* deterministic race window: a detach submitted now lands
@@ -406,26 +401,18 @@ let handle_op t sess op =
               act_recover t a;
               Metrics.incr t.m_recovered;
               sess.s_state <- Active;
-              recovered := true;
               emit t "session.recovered" [ ("session", Jsonx.Int sess.s_id) ]
             end;
-            if dead && not t.d_config.c_auto_recover then
-              reply t p
-                (Error
-                   (Rpc.error ~data:(errno_data Errno.ENOTCONN) Rpc.exec_failed
-                      "session server crashed (auto_recover off)"))
-            else begin
-              let code, output = act_run t a cmd in
-              sess.s_execs <- sess.s_execs + 1;
-              reply t p
-                (Ok
-                   (Jsonx.Obj
-                      [
-                        ("code", Jsonx.Int code);
-                        ("output", Jsonx.Str output);
-                        ("recovered", Jsonx.Bool !recovered);
-                      ]))
-            end)
+            let code, output = act_run t a cmd in
+            sess.s_execs <- sess.s_execs + 1;
+            reply t p
+              (Ok
+                 (Jsonx.Obj
+                    [
+                      ("code", Jsonx.Int code);
+                      ("output", Jsonx.Str output);
+                      ("recovered", Jsonx.Bool recovered);
+                    ])))
   | Op_detach p ->
       if sess.s_state = Detached then
         reply t p (Ok (Jsonx.Obj [ ("detached", Jsonx.Bool true); ("already", Jsonx.Bool true) ]))
@@ -573,8 +560,8 @@ let create_fiber t sess p =
 (* Dispatch                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let parse_attach_config t params =
-  let base = t.d_config.c_attach in
+let parse_attach_config params =
+  let base = Attach.Config.default in
   let base =
     match Jsonx.field_int params "threads" with
     | Some n when n > 0 -> { base with Attach.Config.threads = n }
@@ -632,7 +619,7 @@ let dispatch t ?sink ?sink_ready p (req : Rpc.request) =
       match Jsonx.field_str params "container" with
       | None -> reply t p (Error (Rpc.error Rpc.invalid_params "missing string param: container"))
       | Some container -> (
-          match parse_attach_config t params with
+          match parse_attach_config params with
           | Error msg ->
               reply t p (Error (Rpc.error Rpc.invalid_params ("bad fault_plan: " ^ msg)))
           | Ok acfg ->

@@ -21,7 +21,9 @@
 
     - [daemon.info] — protocol identity and method list
     - [session.create {container; tenant?; tools?; threads?; fault_plan?}]
-    - [session.exec {session; cmd}]
+      — params refine {!Repro_cntr.Attach.Config.default}
+    - [session.exec {session; cmd}] — an exec on a crashed session first
+      recovers it and reports [recovered:true]
     - [session.stat {session}]
     - [session.detach {session}] — idempotent: unknown or already-detached
       sessions answer [{detached:true, already:true}], never an error
@@ -42,11 +44,7 @@ type config = {
   c_max_active : int;  (** fleet-wide concurrent session ceiling *)
   c_queue_depth : int;  (** fleet-wide admission queue bound *)
   c_tenant : quota;
-  c_attach : Repro_cntr.Attach.Config.t;  (** base config for every session *)
   c_fault : Repro_fault.Fault.plan option;  (** plan consulted at the ctrl site *)
-  c_auto_recover : bool;
-      (** recover crashed sessions transparently on the next exec
-          (otherwise the exec fails with [exec_failed]/ENOTCONN) *)
   c_sub_buffer : int;
       (** undelivered [stats.event]s retained per subscriber; at capacity
           the oldest is dropped and counted under
@@ -67,10 +65,9 @@ type config = {
           resumes (hysteresis — must be < [c_wire_high]) *)
 }
 
-(** 64 active, 32 queued, 16/8 per tenant, {!Repro_cntr.Attach.Config.default},
-    no faults, auto-recovery on, 256-event subscriber buffers; wire flow
-    control at 64 in-flight per connection with 64 KiB/16 KiB
-    high/low watermarks. *)
+(** 64 active, 32 queued, 16/8 per tenant, no faults, 256-event
+    subscriber buffers; wire flow control at 64 in-flight per connection
+    with 64 KiB/16 KiB high/low watermarks. *)
 val default_config : config
 
 type t

@@ -287,7 +287,7 @@ let crash t =
   ignore (Sched.broadcast t.sched t.bg_cond)
 
 (* Bring a crashed connection back after the server has been relaunched and
-   a fresh handler installed (see Attach.recover).  The parked worker pool
+   a fresh handler installed (see Session.recover).  The parked worker pool
    is reused. *)
 let revive t =
   t.dead <- false;

@@ -1316,7 +1316,7 @@ let statfs t () =
    nlookup) for every inode reachable through the dentry cache from the
    root (ino 1).  After a server crash this is what survives — the mount,
    the caches, the handles — and what a relaunched server must re-learn so
-   the driver's ino space stays valid (Attach.recover).  Depth-first,
+   the driver's ino space stays valid (Session.recover).  Depth-first,
    children in name order, so the replay is deterministic. *)
 let ino_paths t =
   let children = Hashtbl.create 64 in

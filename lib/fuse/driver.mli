@@ -31,7 +31,7 @@ val obs : t -> Repro_obs.Obs.t
 (** {1 Supervised-session recovery}
 
     After the CntrFS server crashes, the mount and the driver's caches
-    survive; these two calls let {!Repro_core.Attach.recover}-style paths
+    survive; these two calls let [Repro_cntrfs.Session.recover]
     relaunch the server without remounting. *)
 
 (** The driver's live inode map: [(ino, path relative to the server root,

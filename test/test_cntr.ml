@@ -171,7 +171,8 @@ let test_detach_leaves_app_running () =
   Attach.detach session;
   check_b "app alive" true (Container.is_running app);
   check_b "shell dead" false session.Attach.sn_shell_proc.Proc.alive;
-  check_b "server dead" false session.Attach.sn_server_proc.Proc.alive;
+  check_b "server dead" false
+    session.Attach.sn_cntrfs.Repro_cntrfs.Session.server_proc.Proc.alive;
   (* the app can still use its filesystem *)
   let content = ok (Kernel.read_whole world.World.kernel app.Container.ct_main "/etc/nginx.conf") in
   check_b "app fs intact" true (contains ~needle:"listen" content)
@@ -260,7 +261,8 @@ let test_socket_proxy_roundtrip () =
   let fwd =
     ok
       (Proxy.forward plane ~front_proc:session.Attach.sn_shell_proc
-         ~back_proc:session.Attach.sn_server_proc ~backend_path:"/var/run/dbus.sock"
+         ~back_proc:session.Attach.sn_cntrfs.Repro_cntrfs.Session.server_proc
+         ~backend_path:"/var/run/dbus.sock"
          "/var/run/cntr-dbus.sock")
   in
   let cfd = ok (Kernel.socket_connect k session.Attach.sn_shell_proc "/var/run/cntr-dbus.sock") in

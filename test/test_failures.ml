@@ -56,13 +56,49 @@ let test_crash_then_recover_resumes () =
   Attach.crash_server session;
   let code, _ = Attach.run session "cat /var/lib/cntr/etc/nginx.conf" in
   check_b "fails while down" true (code <> 0);
+  let server_proc () = session.Attach.sn_cntrfs.Repro_cntrfs.Session.server_proc in
+  let original = server_proc () in
   Attach.recover session;
+  let replacement = server_proc () in
+  check_b "server relaunched" true (replacement != original);
   let code, out = Attach.run session "cat /var/lib/cntr/etc/nginx.conf" in
   check_i "works after recover" 0 code;
   check_b "content back" true (contains ~needle:"listen" out);
   let m = Repro_obs.Obs.metrics (Attach.obs session) in
   check_b "recovery counted" true
     (Repro_obs.Metrics.counter_value m "session.recoveries" >= 1);
+  Attach.detach session;
+  (* teardown reaches the relaunched server, not only the one attach forked *)
+  check_b "shell dead" false session.Attach.sn_shell_proc.Proc.alive;
+  check_b "original server dead" false original.Proc.alive;
+  check_b "replacement server dead" false replacement.Proc.alive
+
+(* An attach session honours the mount's passthrough option, before and
+   after a server relaunch: reads of a tools-side file get a grant. *)
+let test_attach_passthrough_survives_recover () =
+  let world, _app = boot_with_app () in
+  let config =
+    {
+      Attach.Config.default with
+      Attach.Config.opts =
+        { Opts.cntr_default with Opts.passthrough = 8; keep_cache = false };
+    }
+  in
+  let session = ok (Testbed.attach world ~config "web") in
+  let grants () =
+    Repro_obs.Metrics.counter_value
+      (Repro_obs.Obs.metrics (Attach.obs session))
+      "fuse.passthrough.grants"
+  in
+  let code, _ = Attach.run session "cat /usr/bin/gdb" in
+  check_i "read ok" 0 code;
+  let before = grants () in
+  check_b "grant issued" true (before >= 1);
+  Attach.crash_server session;
+  Attach.recover session;
+  let code, _ = Attach.run session "cat /usr/bin/gdb" in
+  check_i "read ok after recover" 0 code;
+  check_b "grant issued after recover" true (grants () > before);
   Attach.detach session
 
 let test_hang_server_bounded_by_deadline () =
@@ -222,6 +258,8 @@ let () =
         [
           Alcotest.test_case "ENOTCONN after crash" `Quick test_server_death_gives_enotconn;
           Alcotest.test_case "crash then recover" `Quick test_crash_then_recover_resumes;
+          Alcotest.test_case "passthrough across recover" `Quick
+            test_attach_passthrough_survives_recover;
           Alcotest.test_case "hang bounded by deadline" `Quick test_hang_server_bounded_by_deadline;
           Alcotest.test_case "uninitialized conn" `Quick test_uninitialized_conn_refuses;
         ] );
