@@ -1113,6 +1113,8 @@ type fleet_row = {
   f_execs : int;
   f_active_end : int;
   f_wait : Repro_obs.Metrics.summary option;
+  f_census : Repro_os.Kernel.census * Repro_os.Kernel.census;
+      (* the kernel census just before the first create, and after the drain *)
 }
 
 let fleet_shard idx =
@@ -1148,6 +1150,7 @@ let fleet_shard idx =
   in
   let daemon = Daemon.create ~config world in
   let client = Client.in_process daemon in
+  let census_before = Repro_os.Kernel.census world.World.kernel in
   (* zipf-ish container popularity: weight 1/rank *)
   let weights = Array.init (Array.length fleet_images) (fun k -> 1200 / (k + 1)) in
   let total_w = Array.fold_left ( + ) 0 weights in
@@ -1259,6 +1262,7 @@ let fleet_shard idx =
       f_execs = !execs;
       f_active_end = int_of_float (Repro_obs.Metrics.gauge_value m "ctrl.sessions.active");
       f_wait = Repro_obs.Metrics.histogram_summary m "ctrl.queue.wait_us";
+      f_census = (census_before, Repro_os.Kernel.census world.World.kernel);
     }
   in
   Printf.printf
@@ -1450,6 +1454,15 @@ let fleet () =
   gate (cancelled <> 0) "no cancellations — $/cancel never fired";
   gate (recovered >= 1) "no recoveries — the ctrl fault site never crashed a server";
   gate (active_end = 0) (Printf.sprintf "%d sessions leaked past the drain" active_end);
+  List.iter
+    (fun r ->
+      let before, after = r.f_census in
+      gate (before = after)
+        (Printf.sprintf "shard %d: kernel census after the drain {%s} <> before the first create {%s}"
+           r.f_shard
+           (Repro_os.Kernel.census_to_string after)
+           (Repro_os.Kernel.census_to_string before)))
+    rows;
   let fw = fleet_wire_shard () in
   Printf.printf "\nwire shard: %d sessions over framed connections (%d conns, %d envelopes)\n"
     fw.fw_sessions fw.fw_conns fw.fw_batches;

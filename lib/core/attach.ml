@@ -215,10 +215,12 @@ let run session cmd =
   in
   (code, Tty.read_output session.sn_tty)
 
-(* Tear the session down: shell and server exit; the nested namespace dies
-   with its last process, leaving the application container untouched.
-   Idempotent — a second detach (say, from a bracket's finalizer after the
-   caller already detached) is a no-op. *)
+(* Tear the session down: shell, server and cntr process exit.  The kernel
+   reaps each one, and the shell's exit forgets the nested namespace (its
+   last process), so the CntrFS mount — driver, page cache, server — becomes
+   garbage; the application container is untouched.  Idempotent — a second
+   detach (say, from a bracket's finalizer after the caller already
+   detached) is a no-op. *)
 let detach session =
   if not session.sn_detached then begin
     session.sn_detached <- true;

@@ -77,9 +77,10 @@ val attach :
     everything written to the pseudo-TTY. *)
 val run : session -> string -> int * string
 
-(** Tear the session down: the shell and server exit and the nested
-    namespace disappears; the application container is untouched.
-    Idempotent: a second call is a no-op. *)
+(** Tear the session down: the shell, server and cntr processes exit and
+    are reaped, and the nested namespace — with the CntrFS mount it holds —
+    is forgotten with its last process; the application container is
+    untouched.  Idempotent: a second call is a no-op. *)
 val detach : session -> unit
 
 (** [with_session ~kernel ~engines ~budget ~config name f] — bracket:

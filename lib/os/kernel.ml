@@ -16,7 +16,11 @@ and chardev = {
   dev_open : (t -> Proc.t -> Proc.fd_entry) option;
 }
 
-and cgroup = { mutable cg_procs : int list }
+and cgroup = { cg_procs : (int, unit) Hashtbl.t }
+
+(* A UTS namespace's hostname and its live processes: the entry dies with
+   the last of them. *)
+and uts = { mutable hostname : string; mutable uts_procs : int }
 
 and t = {
   clock : Clock.t;
@@ -25,14 +29,14 @@ and t = {
   (* Hot handle for the per-syscall counter; rare ops (fork, exec,
      namespace changes) look their counters up by name at call time. *)
   k_syscalls : Repro_obs.Metrics.counter;
-  procs : (int, Proc.t) Hashtbl.t;
+  procs : (int, Proc.t) Hashtbl.t; (* live processes only *)
   mutable next_pid : int;
-  namespaces : (int, Mount.ns) Hashtbl.t; (* all mount namespaces *)
+  namespaces : (int, Mount.ns) Hashtbl.t; (* mount namespaces with a live process *)
   sock_bindings : (int * int, Sock.listener) Hashtbl.t; (* (fs_id, ino) *)
   programs : (string, program) Hashtbl.t;
   chardevs : (int * int, chardev) Hashtbl.t;
   cgroups : (string, cgroup) Hashtbl.t;
-  hostnames : (int, string) Hashtbl.t; (* uts ns id -> hostname *)
+  hostnames : (int, uts) Hashtbl.t; (* uts ns id -> hostname *)
   mutable next_tag : int;
   mutable init_pid : int;
   (* Fault-injection hook consulted on file/metadata syscalls: given the
@@ -68,7 +72,53 @@ let fresh_tag t =
 
 let fresh_ns t kind = { Namespace.id = fresh_tag t; kind }
 
-let register_mnt_ns t ns = Hashtbl.replace t.namespaces ns.Mount.ns_id ns
+(* Live-process accounting for the namespaces whose kernel state dies with
+   their last process: a mount namespace leaves [t.namespaces] (and with it
+   propagation), a UTS namespace takes its hostname along.  Each transition
+   is O(1); nothing scans the process table.  A dead process is never
+   counted, so moving one is a plain field write. *)
+let mnt_join t ns =
+  if ns.Mount.ns_procs = 0 then Hashtbl.replace t.namespaces ns.Mount.ns_id ns;
+  ns.Mount.ns_procs <- ns.Mount.ns_procs + 1
+
+let mnt_leave t ns =
+  ns.Mount.ns_procs <- ns.Mount.ns_procs - 1;
+  if ns.Mount.ns_procs = 0 then Hashtbl.remove t.namespaces ns.Mount.ns_id
+
+let uts_join t (ns : Namespace.t) =
+  match Hashtbl.find_opt t.hostnames ns.Namespace.id with
+  | Some u -> u.uts_procs <- u.uts_procs + 1
+  | None -> ()
+
+let uts_leave t (ns : Namespace.t) =
+  match Hashtbl.find_opt t.hostnames ns.Namespace.id with
+  | Some u ->
+      u.uts_procs <- u.uts_procs - 1;
+      if u.uts_procs = 0 then Hashtbl.remove t.hostnames ns.Namespace.id
+  | None -> ()
+
+(* Join before leaving, so moving into the namespace a process is already
+   in never drops it. *)
+let set_mnt t proc ns =
+  if proc.Proc.alive then begin
+    mnt_join t ns;
+    mnt_leave t proc.Proc.ns.Proc.mnt
+  end;
+  proc.Proc.ns.Proc.mnt <- ns
+
+let set_uts t proc ns =
+  if proc.Proc.alive then begin
+    uts_join t ns;
+    uts_leave t proc.Proc.ns.Proc.uts
+  end;
+  proc.Proc.ns.Proc.uts <- ns
+
+let enter_mnt_ns t proc ns =
+  set_mnt t proc ns;
+  let root = Mount.root_mount ns in
+  let v = { Proc.v_mount = root; v_ino = root.Mount.m_root } in
+  proc.Proc.root <- v;
+  proc.Proc.cwd <- v
 
 (* Create a kernel whose init process (pid 1) runs as root on [root_fs].
    The host root mount is shared, as systemd sets it up. *)
@@ -95,7 +145,7 @@ let create ?obs ~clock ~cost ~root_fs () =
   in
   let mnt_ns = Mount.create_ns ~fs:root_fs () in
   Mount.make_shared (Mount.root_mount mnt_ns);
-  register_mnt_ns t mnt_ns;
+  mnt_join t mnt_ns;
   let root_vnode = { Proc.v_mount = Mount.root_mount mnt_ns; v_ino = root_fs.Fsops.root } in
   let ns_set =
     {
@@ -129,19 +179,19 @@ let create ?obs ~clock ~cost ~root_fs () =
     }
   in
   Hashtbl.replace t.procs 1 init;
-  Hashtbl.replace t.cgroups "/" { cg_procs = [ 1 ] };
-  Hashtbl.replace t.hostnames ns_set.Proc.uts.Namespace.id "host";
+  let root_cg = { cg_procs = Hashtbl.create 64 } in
+  Hashtbl.replace root_cg.cg_procs 1 ();
+  Hashtbl.replace t.cgroups "/" root_cg;
+  Hashtbl.replace t.hostnames ns_set.Proc.uts.Namespace.id { hostname = "host"; uts_procs = 1 };
   t
 
 let init_proc t = Hashtbl.find t.procs t.init_pid
 
 let proc_by_pid t pid =
-  match Hashtbl.find_opt t.procs pid with
-  | Some p when p.Proc.alive -> Ok p
-  | _ -> Error Errno.ESRCH
+  match Hashtbl.find_opt t.procs pid with Some p -> Ok p | None -> Error Errno.ESRCH
 
 let all_procs t =
-  Hashtbl.fold (fun _ p acc -> if p.Proc.alive then p :: acc else acc) t.procs []
+  Hashtbl.fold (fun _ p acc -> p :: acc) t.procs []
   |> List.sort (fun a b -> compare a.Proc.pid b.Proc.pid)
 
 (* Processes visible from a given pid namespace (it and its descendants). *)
@@ -330,20 +380,30 @@ let close t proc fdn =
       | Proc.File f -> release_file f
       | Proc.Pipe_r p -> Pipe.close_reader p
       | Proc.Pipe_w p -> Pipe.close_writer p
-      | Proc.Sock_listen l -> Sock.close_listener l
+      | Proc.Sock_listen l ->
+          (* a closed listener refuses every connect: unbind it *)
+          if Sock.close_listener l then
+            Hashtbl.filter_map_inplace
+              (fun _ l' -> if l' == l then None else Some l')
+              t.sock_bindings
       | Proc.Sock_conn ep -> Sock.close_endpoint ep
       | Proc.Epoll_fd _ -> ()
       | Proc.Custom c -> c.Proc.c_close ());
       Ok ()
 
-let dup t proc fdn =
-  charge t;
-  let* entry = fd_entry proc fdn in
-  (match entry with
+(* One more fd refers to [entry]'s open description (dup, fork). *)
+let share_entry = function
   | Proc.File f -> f.Proc.of_refs <- f.Proc.of_refs + 1
   | Proc.Pipe_r p -> Pipe.add_reader p
   | Proc.Pipe_w p -> Pipe.add_writer p
-  | _ -> ());
+  | Proc.Sock_listen l -> Sock.share_listener l
+  | Proc.Sock_conn ep -> Sock.share_endpoint ep
+  | Proc.Epoll_fd _ | Proc.Custom _ -> ()
+
+let dup t proc fdn =
+  charge t;
+  let* entry = fd_entry proc fdn in
+  share_entry entry;
   Ok (Proc.alloc_fd proc entry)
 
 let file_kind f =
@@ -719,14 +779,7 @@ let fork t proc =
   t.next_pid <- pid + 1;
   (* fds are shared open file descriptions, Linux-style. *)
   let fds = Hashtbl.copy proc.Proc.fds in
-  Hashtbl.iter
-    (fun _ e ->
-      match e with
-      | Proc.File f -> f.Proc.of_refs <- f.Proc.of_refs + 1
-      | Proc.Pipe_r p -> Pipe.add_reader p
-      | Proc.Pipe_w p -> Pipe.add_writer p
-      | _ -> ())
-    fds;
+  Hashtbl.iter (fun _ e -> share_entry e) fds;
   let child =
     {
       proc with
@@ -751,10 +804,14 @@ let fork t proc =
   in
   Hashtbl.replace t.procs pid child;
   (match Hashtbl.find_opt t.cgroups proc.Proc.cgroup with
-  | Some cg -> cg.cg_procs <- pid :: cg.cg_procs
+  | Some cg -> Hashtbl.replace cg.cg_procs pid ()
   | None -> ());
+  mnt_join t child.Proc.ns.Proc.mnt;
+  uts_join t child.Proc.ns.Proc.uts;
   child
 
+(* Reap: the record leaves every kernel table, so the namespaces and files
+   only it kept alive become garbage; the caller's copy keeps [exit_code]. *)
 let exit t proc code =
   charge t;
   if proc.Proc.alive then begin
@@ -762,12 +819,20 @@ let exit t proc code =
     List.iter (fun fd -> ignore (close t proc fd)) fds;
     proc.Proc.alive <- false;
     proc.Proc.exit_code <- Some code;
+    Hashtbl.remove t.procs proc.Proc.pid;
     (match Hashtbl.find_opt t.cgroups proc.Proc.cgroup with
-    | Some cg -> cg.cg_procs <- List.filter (fun p -> p <> proc.Proc.pid) cg.cg_procs
-    | None -> ())
+    | Some cg -> Hashtbl.remove cg.cg_procs proc.Proc.pid
+    | None -> ());
+    mnt_leave t proc.Proc.ns.Proc.mnt;
+    uts_leave t proc.Proc.ns.Proc.uts
   end
 
 (* --- namespaces -------------------------------------------------------- *)
+
+let gethostname t proc =
+  match Hashtbl.find_opt t.hostnames proc.Proc.ns.Proc.uts.Namespace.id with
+  | Some u -> u.hostname
+  | None -> "host"
 
 let unshare t proc kinds =
   charge t;
@@ -780,7 +845,6 @@ let unshare t proc kinds =
         match kind with
         | Namespace.Mnt ->
             let ns = Mount.clone_ns proc.Proc.ns.Proc.mnt in
-            register_mnt_ns t ns;
             (* Re-anchor root/cwd in the cloned namespace: find the clone of
                the mount they pointed into. *)
             let rebase v =
@@ -802,7 +866,7 @@ let unshare t proc kinds =
             in
             proc.Proc.root <- rebase proc.Proc.root;
             proc.Proc.cwd <- rebase proc.Proc.cwd;
-            proc.Proc.ns.Proc.mnt <- ns
+            set_mnt t proc ns
         | Namespace.Pid ->
             proc.Proc.ns.Proc.pid_ns <-
               { Namespace.pns_id = fresh_tag t; parent = Some proc.Proc.ns.Proc.pid_ns }
@@ -810,9 +874,8 @@ let unshare t proc kinds =
         | Namespace.Uts ->
             let ns = fresh_ns t Namespace.Uts in
             Hashtbl.replace t.hostnames ns.Namespace.id
-              (Option.value ~default:"host"
-                 (Hashtbl.find_opt t.hostnames proc.Proc.ns.Proc.uts.Namespace.id));
-            proc.Proc.ns.Proc.uts <- ns
+              { hostname = gethostname t proc; uts_procs = 0 };
+            set_uts t proc ns
         | Namespace.Ipc -> proc.Proc.ns.Proc.ipc <- fresh_ns t Namespace.Ipc
         | Namespace.User ->
             proc.Proc.ns.Proc.user <-
@@ -835,12 +898,12 @@ let setns t proc ~target_pid kinds =
       (fun kind ->
         match kind with
         | Namespace.Mnt ->
-            proc.Proc.ns.Proc.mnt <- target.Proc.ns.Proc.mnt;
+            set_mnt t proc target.Proc.ns.Proc.mnt;
             proc.Proc.root <- target.Proc.root;
             proc.Proc.cwd <- target.Proc.cwd
         | Namespace.Pid -> proc.Proc.ns.Proc.pid_ns <- target.Proc.ns.Proc.pid_ns
         | Namespace.Net -> proc.Proc.ns.Proc.net <- target.Proc.ns.Proc.net
-        | Namespace.Uts -> proc.Proc.ns.Proc.uts <- target.Proc.ns.Proc.uts
+        | Namespace.Uts -> set_uts t proc target.Proc.ns.Proc.uts
         | Namespace.Ipc -> proc.Proc.ns.Proc.ipc <- target.Proc.ns.Proc.ipc
         | Namespace.User -> proc.Proc.ns.Proc.user <- target.Proc.ns.Proc.user
         | Namespace.Cgroup -> proc.Proc.ns.Proc.cgroup_ns <- target.Proc.ns.Proc.cgroup_ns)
@@ -946,32 +1009,31 @@ let make_rprivate t proc =
 
 (* --- hostname, cgroups, rlimits, LSM ----------------------------------- *)
 
-let gethostname t proc =
-  Option.value ~default:"host" (Hashtbl.find_opt t.hostnames proc.Proc.ns.Proc.uts.Namespace.id)
-
 let sethostname t proc name =
   charge t;
   let* () = require_admin proc in
-  Hashtbl.replace t.hostnames proc.Proc.ns.Proc.uts.Namespace.id name;
+  (match Hashtbl.find_opt t.hostnames proc.Proc.ns.Proc.uts.Namespace.id with
+  | Some u -> u.hostname <- name
+  | None -> ());
   Ok ()
 
 let cgroup_create t path =
   if not (Hashtbl.mem t.cgroups path) then
-    Hashtbl.replace t.cgroups path { cg_procs = [] }
+    Hashtbl.replace t.cgroups path { cg_procs = Hashtbl.create 8 }
 
 let cgroup_attach t proc ~cgroup =
   charge t;
   cgroup_create t cgroup;
   (match Hashtbl.find_opt t.cgroups proc.Proc.cgroup with
-  | Some old -> old.cg_procs <- List.filter (fun p -> p <> proc.Proc.pid) old.cg_procs
+  | Some old -> Hashtbl.remove old.cg_procs proc.Proc.pid
   | None -> ());
   let cg = Hashtbl.find t.cgroups cgroup in
-  cg.cg_procs <- proc.Proc.pid :: cg.cg_procs;
+  Hashtbl.replace cg.cg_procs proc.Proc.pid ();
   proc.Proc.cgroup <- cgroup
 
 let cgroup_procs t cgroup =
   match Hashtbl.find_opt t.cgroups cgroup with
-  | Some cg -> List.sort compare cg.cg_procs
+  | Some cg -> List.sort compare (Hashtbl.fold (fun pid () acc -> pid :: acc) cg.cg_procs [])
   | None -> []
 
 let set_rlimit_fsize _t proc limit = proc.Proc.rlimit_fsize <- limit
@@ -1252,3 +1314,44 @@ let register_chardev t ~major ~minor dev = Hashtbl.replace t.chardevs (major, mi
 let mounts_of_ns ns =
   Hashtbl.fold (fun _ m acc -> m :: acc) ns.Mount.mounts []
   |> List.sort (fun a b -> compare a.Mount.m_id b.Mount.m_id)
+
+(* --- census ------------------------------------------------------------ *)
+
+type census = {
+  cs_procs : int;
+  cs_mnt_ns : int;
+  cs_mounts : int;
+  cs_fds : int;
+  cs_pipes : int;
+  cs_sock_bindings : int;
+  cs_fuse_conns : int;
+}
+
+let census t =
+  let fds = ref 0 and pipes = ref [] and fuse = ref [] in
+  (* an fd shared by fork or dup is one pipe / one connection *)
+  let note r x = if not (List.memq x !r) then r := x :: !r in
+  Hashtbl.iter
+    (fun _ p ->
+      Hashtbl.iter
+        (fun _ entry ->
+          incr fds;
+          match entry with
+          | Proc.Pipe_r pipe | Proc.Pipe_w pipe -> note pipes pipe
+          | Proc.Custom c when c.Proc.c_name = "fuse" -> note fuse c
+          | _ -> ())
+        p.Proc.fds)
+    t.procs;
+  {
+    cs_procs = Hashtbl.length t.procs;
+    cs_mnt_ns = Hashtbl.length t.namespaces;
+    cs_mounts = Hashtbl.fold (fun _ ns n -> n + Hashtbl.length ns.Mount.mounts) t.namespaces 0;
+    cs_fds = !fds;
+    cs_pipes = List.length !pipes;
+    cs_sock_bindings = Hashtbl.length t.sock_bindings;
+    cs_fuse_conns = List.length !fuse;
+  }
+
+let census_to_string c =
+  Printf.sprintf "procs=%d mnt_ns=%d mounts=%d fds=%d pipes=%d sock_bindings=%d fuse_conns=%d"
+    c.cs_procs c.cs_mnt_ns c.cs_mounts c.cs_fds c.cs_pipes c.cs_sock_bindings c.cs_fuse_conns

@@ -23,7 +23,11 @@ and chardev = {
   dev_open : (t -> Proc.t -> Proc.fd_entry) option;
 }
 
-and cgroup = { mutable cg_procs : int list }
+and cgroup = { cg_procs : (int, unit) Hashtbl.t }  (** member pids *)
+
+(** A UTS namespace's hostname; the entry goes when [uts_procs], its live
+    process count, reaches 0. *)
+and uts = { mutable hostname : string; mutable uts_procs : int }
 
 and t = {
   clock : Clock.t;
@@ -32,16 +36,18 @@ and t = {
       (** the kernel's observability handle — shared with the FUSE/CntrFS
           layers so [os.*], [fuse.*] and [vfs.*] counters land together *)
   k_syscalls : Repro_obs.Metrics.counter;  (** hot handle for [os.syscall.count] *)
-  procs : (int, Proc.t) Hashtbl.t;
+  procs : (int, Proc.t) Hashtbl.t;  (** live processes; {!exit} removes one *)
   mutable next_pid : int;
-  namespaces : (int, Mount.ns) Hashtbl.t;  (** every mount namespace, for propagation *)
+  namespaces : (int, Mount.ns) Hashtbl.t;
+      (** mount namespaces with a live process ({!Mount.ns.ns_procs} > 0),
+          for propagation *)
   sock_bindings : (int * int, Sock.listener) Hashtbl.t;
       (** Unix-socket bindings keyed by (fs_id, ino) — which is why sockets
           seen through a FUSE mount don't connect (§3.2.4) *)
   programs : (string, program) Hashtbl.t;
   chardevs : (int * int, chardev) Hashtbl.t;
   cgroups : (string, cgroup) Hashtbl.t;
-  hostnames : (int, string) Hashtbl.t;  (** per UTS namespace *)
+  hostnames : (int, uts) Hashtbl.t;  (** per UTS namespace *)
   mutable next_tag : int;
   mutable init_pid : int;
   mutable k_fault : (op:string -> Proc.t -> Errno.t option) option;
@@ -56,13 +62,18 @@ and t = {
 val create : ?obs:Repro_obs.Obs.t -> clock:Clock.t -> cost:Cost.t -> root_fs:Fsops.t -> unit -> t
 
 val init_proc : t -> Proc.t
+
+(** A live process; [ESRCH] once it has exited. *)
 val proc_by_pid : t -> int -> (Proc.t, Errno.t) result
 
 (** Processes visible from a PID namespace (itself and its descendants). *)
 val procs_in_pidns : t -> Namespace.pid_ns -> Proc.t list
 
-(** Register a cloned/new mount namespace so propagation can reach it. *)
-val register_mnt_ns : t -> Mount.ns -> unit
+(** Move [proc] into the fresh mount namespace [ns] and re-root its root
+    and cwd at [ns]'s root mount — how a runtime starts a process on a new
+    rootfs.  [ns] becomes reachable by propagation while a live process
+    is inside it.  Not a syscall: charges nothing. *)
+val enter_mnt_ns : t -> Proc.t -> Mount.ns -> unit
 
 (** Install (or clear) the fault-injection hook.  It is consulted on entry
     to the file/metadata syscalls ("open", "read", "write", "pread",
@@ -169,7 +180,10 @@ val chroot : t -> Proc.t -> string -> (unit, Errno.t) result
 (** fork(2): fds become shared open file descriptions, Linux-style. *)
 val fork : t -> Proc.t -> Proc.t
 
-(** Close all fds and mark the process dead. *)
+(** Close all fds, mark the process dead, reap: it leaves the process
+    table and its cgroup, and a mount or UTS namespace whose last process
+    it was is forgotten.  The caller's record keeps [alive = false] and
+    [exit_code].  O(fds); nothing scans the process table. *)
 val exit : t -> Proc.t -> int -> unit
 
 (** unshare(2) for the given namespace kinds; requires CAP_SYS_ADMIN.
@@ -275,3 +289,22 @@ val program_exists : t -> string -> bool
 val exec : t -> Proc.t -> string -> string list -> (int, Errno.t) result
 
 val register_chardev : t -> major:int -> minor:int -> chardev -> unit
+
+(** {1 Census} *)
+
+(** What the kernel holds for live processes: the process table, the mount
+    namespaces and their mounts, open fds, distinct pipes, socket
+    bindings and distinct open [/dev/fuse] connections.  A world that has
+    torn down everything it started returns to its earlier census. *)
+type census = {
+  cs_procs : int;
+  cs_mnt_ns : int;
+  cs_mounts : int;
+  cs_fds : int;
+  cs_pipes : int;
+  cs_sock_bindings : int;
+  cs_fuse_conns : int;
+}
+
+val census : t -> census
+val census_to_string : census -> string

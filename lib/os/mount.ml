@@ -25,6 +25,7 @@ type ns = {
   ns_id : int;
   mounts : (int, mount) Hashtbl.t;
   mutable root : int; (* root mount id *)
+  mutable ns_procs : int; (* live processes inside; the kernel keeps it *)
 }
 
 let next_mount_id =
@@ -55,7 +56,7 @@ let create_ns ~fs ?root_ino ?(prop = Private) () =
       m_ro = false;
     }
   in
-  let ns = { ns_id; mounts = Hashtbl.create 16; root = m.m_id } in
+  let ns = { ns_id; mounts = Hashtbl.create 16; root = m.m_id; ns_procs = 0 } in
   Hashtbl.replace ns.mounts m.m_id m;
   ns
 
@@ -127,7 +128,7 @@ let clone_ns ns =
       in
       Hashtbl.replace mounts m'.m_id m')
     ns.mounts;
-  { ns_id = new_ns_id; mounts; root = remap ns.root }
+  { ns_id = new_ns_id; mounts; root = remap ns.root; ns_procs = 0 }
 
 (* mount --make-rprivate /: detach every mount from its peer group. *)
 let make_rprivate ns =

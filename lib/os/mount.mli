@@ -25,6 +25,9 @@ type ns = {
   ns_id : int;
   mounts : (int, mount) Hashtbl.t;
   mutable root : int;  (** root mount id *)
+  mutable ns_procs : int;
+      (** live processes inside it.  The kernel counts them on fork, exit,
+          setns and unshare, and forgets the namespace when it reaches 0. *)
 }
 
 val next_peer_group : unit -> int

@@ -21,6 +21,7 @@ type endpoint = {
   mutable ep_wr_closed : bool; (* shutdown(SHUT_WR) performed *)
   mutable ep_reset : bool; (* connection aborted: reads/writes ECONNRESET *)
   mutable ep_peer : endpoint option;
+  mutable ep_refs : int; (* fds sharing it through fork and dup *)
 }
 
 type listener = {
@@ -30,6 +31,7 @@ type listener = {
   l_backlog_max : int;
   mutable l_open : bool;
   mutable l_wakers : (unit -> unit) list;
+  mutable l_refs : int; (* fds sharing it through fork and dup *)
 }
 
 let next_id =
@@ -46,6 +48,7 @@ let listen ?(backlog = default_backlog) ~path () =
     l_backlog_max = max 1 backlog;
     l_open = true;
     l_wakers = [];
+    l_refs = 1;
   }
 
 let add_listener_waker l f = l.l_wakers <- f :: l.l_wakers
@@ -56,11 +59,11 @@ let pair () =
   let a_to_b = Pipe.create () and b_to_a = Pipe.create () in
   let a =
     { ep_id = next_id (); recv_q = b_to_a; peer_q = a_to_b; ep_open = true;
-      ep_wr_closed = false; ep_reset = false; ep_peer = None }
+      ep_wr_closed = false; ep_reset = false; ep_peer = None; ep_refs = 1 }
   in
   let b =
     { ep_id = next_id (); recv_q = a_to_b; peer_q = b_to_a; ep_open = true;
-      ep_wr_closed = false; ep_reset = false; ep_peer = None }
+      ep_wr_closed = false; ep_reset = false; ep_peer = None; ep_refs = 1 }
   in
   a.ep_peer <- Some b;
   b.ep_peer <- Some a;
@@ -103,8 +106,14 @@ let shutdown_write ep =
     Pipe.close_writer ep.peer_q
   end
 
+(* fork and dup share one socket between fds; only the last close closes
+   it, as a pipe end closes with its last fd. *)
+let share_endpoint ep = ep.ep_refs <- ep.ep_refs + 1
+let share_listener l = l.l_refs <- l.l_refs + 1
+
 let close_endpoint ep =
-  if ep.ep_open then begin
+  ep.ep_refs <- ep.ep_refs - 1;
+  if ep.ep_refs = 0 && ep.ep_open then begin
     ep.ep_open <- false;
     (* Peer sees EOF on its queue and EPIPE on writes. *)
     if not ep.ep_wr_closed then begin
@@ -135,10 +144,12 @@ let abort ep =
   reset ep
 
 let close_listener l =
-  if l.l_open then begin
+  l.l_refs <- l.l_refs - 1;
+  if l.l_refs = 0 && l.l_open then begin
     l.l_open <- false;
     wake_listener l
-  end
+  end;
+  not l.l_open
 
 (* Writable room toward the peer, or why not — splice uses this to clamp
    what it pulls from the source so partial sinks never lose bytes. *)

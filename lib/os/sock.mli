@@ -27,13 +27,20 @@ val recv : endpoint -> len:int -> (string, Errno.t) result
     read side stays usable.  Further sends [EPIPE]. *)
 val shutdown_write : endpoint -> unit
 
+(** Another fd now shares the socket (fork, dup).  A close only drops that
+    fd's reference; the last one closes the socket. *)
+val share_endpoint : endpoint -> unit
+
+val share_listener : listener -> unit
+
 val close_endpoint : endpoint -> unit
 
 (** Abortive close (the SO_LINGER-0 RST path): both ends observe
     [ECONNRESET] immediately, queued bytes are discarded. *)
 val abort : endpoint -> unit
 
-val close_listener : listener -> unit
+(** Drop one fd's reference; [true] once the listener is closed. *)
+val close_listener : listener -> bool
 
 (** Room toward the peer: [Ok n] bytes accepted without blocking,
     [EPIPE]/[ECONNRESET] when the direction is dead.  splice(2) clamps its

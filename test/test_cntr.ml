@@ -248,11 +248,12 @@ let test_attach_all_engines () =
 
 let test_socket_proxy_roundtrip () =
   let world, _app = boot_with_app () in
-  let session = ok (Testbed.attach world "web") in
   let k = world.World.kernel in
   let host = world.World.init in
   (* a "D-Bus daemon" listens on the host *)
   let dbus_lfd = ok (Kernel.socket_listen k host "/var/run/dbus.sock") in
+  let before = Kernel.census k in
+  let session = ok (Testbed.attach world "web") in
   (* direct connection through CntrFS fails: wrong inode identity *)
   check_err Errno.ECONNREFUSED
     (Kernel.socket_connect k session.Attach.sn_shell_proc "/var/run/dbus.sock");
@@ -280,7 +281,10 @@ let test_socket_proxy_roundtrip () =
     (Repro_obs.Metrics.counter_value
        (Repro_obs.Obs.metrics (Attach.obs session))
        "proxy.connections.total");
-  Attach.detach session
+  Attach.detach session;
+  (* the forwarder's socket binding went with the session *)
+  ok (Kernel.close k host sfd);
+  check_s "census back" (Kernel.census_to_string before) (Kernel.census_to_string (Kernel.census k))
 
 (* --- shell details ---------------------------------------------------------------- *)
 

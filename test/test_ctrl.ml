@@ -417,6 +417,79 @@ let test_detach_races_recovery () =
   check_b "repeat detach reports already" true again;
   check_i "one recovery" 1 (counter world "ctrl.sessions.recovered")
 
+(* --- leaks: a detached session leaves nothing reachable -------------------- *)
+
+(* Create a session on "web", run [script] on it, detach.  Returns the
+   census taken before the create, the number of processes the session
+   forked, and weak pointers to those processes and to every mount
+   namespace they built (the nested one holds the CntrFS mount: driver,
+   connection, server).  Kept out of line so no strong reference to them
+   survives on the caller's stack. *)
+let[@inline never] detached_session world d script =
+  let k = world.World.kernel in
+  let c = Client.in_process d in
+  let before = Kernel.census k in
+  let old_procs = Hashtbl.copy k.Kernel.procs and old_ns = Hashtbl.copy k.Kernel.namespaces in
+  let born = Hashtbl.create 8 in
+  let note () =
+    Hashtbl.iter
+      (fun pid p -> if not (Hashtbl.mem old_procs pid) then Hashtbl.replace born pid p)
+      k.Kernel.procs
+  in
+  let sid = (ok' (Client.session_create c "web")).Client.sc_session in
+  note ();
+  script c sid;
+  note ();
+  let objs =
+    Hashtbl.fold
+      (fun _ p acc ->
+        let ns = p.Repro_os.Proc.ns.Repro_os.Proc.mnt in
+        if Hashtbl.mem old_ns ns.Repro_os.Mount.ns_id then Obj.repr p :: acc
+        else Obj.repr p :: Obj.repr ns :: acc)
+      born []
+  in
+  let w = Weak.create (List.length objs) in
+  List.iteri (fun i o -> Weak.set w i (Some o)) objs;
+  check_b "fresh detach" false (ok' (Client.session_detach c ~session:sid));
+  (before, Hashtbl.length born, w)
+
+let check_collected world (before, born, w) =
+  Gc.full_major ();
+  check_b "the session forked its processes" true (born >= 3);
+  for i = 0 to Weak.length w - 1 do
+    if Weak.check w i then Alcotest.failf "object %d of the detached session is still reachable" i
+  done;
+  check_s "census back to before the create" (Kernel.census_to_string before)
+    (Kernel.census_to_string (Kernel.census world.World.kernel))
+
+let test_leak_plain_detach () =
+  let world = boot () in
+  let d = Daemon.create world in
+  check_collected world
+    (detached_session world d (fun c sid -> ignore (ok' (Client.session_exec c ~session:sid "ls /"))))
+
+let test_leak_after_recover () =
+  let world = boot () in
+  let plan, _ = Result.get_ok (Fault.parse "seed 7\nctrl exec nth=1 crash") in
+  let d = Daemon.create ~config:{ Daemon.default_config with Daemon.c_fault = Some plan } world in
+  check_collected world
+    (detached_session world d (fun c sid ->
+         let x = ok' (Client.session_exec c ~session:sid "echo boom") in
+         check_b "exec recovered" true x.Client.sx_recovered))
+
+let test_leak_cancelled_exec () =
+  let world = boot () in
+  let d = Daemon.create world in
+  check_collected world
+    (detached_session world d (fun c sid ->
+         let tk =
+           Client.submit c
+             ~params:(Jsonx.Obj [ ("session", Jsonx.Int sid); ("cmd", Jsonx.Str "ps") ])
+             "session.exec"
+         in
+         Client.cancel c tk;
+         check_i "cancelled" Rpc.cancelled (err_code (Client.await c tk))))
+
 (* --- subscriptions ----------------------------------------------------------- *)
 
 let test_stats_subscribe () =
@@ -693,6 +766,12 @@ let () =
         [
           Alcotest.test_case "create/crash/recover" `Quick test_fault_create_crash_recover;
           Alcotest.test_case "detach races recovery" `Quick test_detach_races_recovery;
+        ] );
+      ( "leaks",
+        [
+          Alcotest.test_case "plain detach" `Quick test_leak_plain_detach;
+          Alcotest.test_case "detach after crash-recover" `Quick test_leak_after_recover;
+          Alcotest.test_case "detach after cancelled exec" `Quick test_leak_cancelled_exec;
         ] );
       ( "events",
         [

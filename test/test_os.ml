@@ -499,6 +499,109 @@ let test_exit_closes_fds () =
   check_b "exit code" true (child.Proc.exit_code = Some 7);
   check_err Errno.ESRCH (Kernel.proc_by_pid k child.Proc.pid)
 
+(* --- reaping ------------------------------------------------------------------ *)
+
+let test_exit_reaps () =
+  let k, init = boot () in
+  let child = Kernel.fork k init in
+  ok (Kernel.unshare k child [ Namespace.Mnt; Namespace.Uts ]);
+  ok (Kernel.sethostname k child "inner");
+  Kernel.cgroup_attach k child ~cgroup:"/jail";
+  let sibling = Kernel.fork k child in
+  let mnt = child.Proc.ns.Proc.mnt and uts = child.Proc.ns.Proc.uts.Namespace.id in
+  Kernel.exit k child 3;
+  check_err Errno.ESRCH (Kernel.proc_by_pid k child.Proc.pid);
+  check_b "exit code on the record" true (child.Proc.exit_code = Some 3);
+  check_b "out of the process table" false (Hashtbl.mem k.Kernel.procs child.Proc.pid);
+  check_b "cgroup keeps the sibling only" true
+    (Kernel.cgroup_procs k "/jail" = [ sibling.Proc.pid ]);
+  (* the sibling still lives in both namespaces *)
+  check_b "mount ns kept" true (Hashtbl.mem k.Kernel.namespaces mnt.Mount.ns_id);
+  check_s "hostname kept" "inner" (Kernel.gethostname k sibling);
+  Kernel.exit k sibling 0;
+  check_b "mount ns reaped" false (Hashtbl.mem k.Kernel.namespaces mnt.Mount.ns_id);
+  check_b "hostname reaped" false (Hashtbl.mem k.Kernel.hostnames uts);
+  check_b "cgroup empty" true (Kernel.cgroup_procs k "/jail" = []);
+  (* exiting twice is a no-op; init is untouched *)
+  Kernel.exit k sibling 9;
+  check_b "first exit code stands" true (sibling.Proc.exit_code = Some 0);
+  check_i "init is pid 1" 1 (Kernel.init_proc k).Proc.pid;
+  check_b "init still works" true (Result.is_ok (Kernel.stat k (Kernel.init_proc k) "/tmp"));
+  check_b "census back to one ns" true ((Kernel.census k).Kernel.cs_mnt_ns = 1)
+
+(* A forked child's exit drops its references to inherited sockets; the
+   parent's listener and connection stay open, and the last close unbinds. *)
+let test_exit_keeps_shared_sockets () =
+  let k, init = boot () in
+  let lfd = ok (Kernel.socket_listen k init "/tmp/sock") in
+  let cfd = ok (Kernel.socket_connect k init "/tmp/sock") in
+  let sfd = ok (Kernel.socket_accept k init lfd) in
+  Kernel.exit k (Kernel.fork k init) 0;
+  ignore (ok (Kernel.write k init cfd "ping"));
+  check_s "connection survives" "ping" (ok (Kernel.read k init sfd ~len:10));
+  check_b "listener survives" true (Result.is_ok (Kernel.socket_connect k init "/tmp/sock"));
+  let dup = ok (Kernel.dup k init lfd) in
+  ok (Kernel.close k init lfd);
+  check_i "bound while a dup is open" 1 (Kernel.census k).Kernel.cs_sock_bindings;
+  ok (Kernel.close k init dup);
+  check_i "unbound at the last close" 0 (Kernel.census k).Kernel.cs_sock_bindings;
+  check_err Errno.ECONNREFUSED (Kernel.socket_connect k init "/tmp/sock")
+
+let test_cgroup_procs_sorted () =
+  let k, init = boot () in
+  let procs = List.init 6 (fun _ -> Kernel.fork k init) in
+  List.iter (fun p -> Kernel.cgroup_attach k p ~cgroup:"/g") (List.rev procs);
+  Kernel.exit k (List.nth procs 2) 0;
+  let want = List.filteri (fun i _ -> i <> 2) procs |> List.map (fun p -> p.Proc.pid) in
+  check_b "sorted, exited pid gone" true (Kernel.cgroup_procs k "/g" = want)
+
+(* A mount on the shared host root reaches every live peer namespace and
+   none that has been reaped. *)
+let test_propagation_skips_reaped () =
+  let k, init = boot () in
+  ok (Kernel.mkdir k init "/mnt" ~mode:0o755);
+  let live = Kernel.fork k init and gone = Kernel.fork k init in
+  ok (Kernel.unshare k live [ Namespace.Mnt ]);
+  ok (Kernel.unshare k gone [ Namespace.Mnt ]);
+  let gone_ns = gone.Proc.ns.Proc.mnt in
+  let gone_mounts = Hashtbl.length gone_ns.Mount.mounts in
+  Kernel.exit k gone 0;
+  let before = Kernel.census k in
+  check_i "host and live namespaces" 2 before.Kernel.cs_mnt_ns;
+  let extra = Nativefs.create ~name:"extra" ~clock:k.Kernel.clock ~cost:k.Kernel.cost Store.Ram () in
+  ignore (ok (Kernel.mount_at k init ~fs:(Nativefs.ops extra) "/mnt"));
+  write_file k init "/mnt/x" "prop";
+  check_s "propagated to the live peer" "prop" (read_file k live "/mnt/x");
+  check_i "one mount per live namespace" (before.Kernel.cs_mounts + 2)
+    (Kernel.census k).Kernel.cs_mounts;
+  check_i "the reaped namespace got nothing" gone_mounts (Hashtbl.length gone_ns.Mount.mounts)
+
+(* Attach/detach churn leaves nothing behind that a new session's ps sees. *)
+let test_churn_ps () =
+  let module World = Repro_runtime.World in
+  let module Attach = Repro_cntr.Attach in
+  let world = Repro_cntr.Testbed.create () in
+  ignore
+    (ok (World.run_container world ~engine:(World.docker world) ~name:"web" ~image_ref:"nginx:latest" ()));
+  let cycle () =
+    let s = ok (Repro_cntr.Testbed.attach world "web") in
+    Attach.detach s
+  in
+  (* the pids a fresh session's ps lists, besides its own shell *)
+  let ps_others () =
+    let s = ok (Repro_cntr.Testbed.attach world "web") in
+    let _, out = Attach.run s "ps" in
+    Attach.detach s;
+    String.split_on_char '\n' out
+    |> List.filter_map (fun l -> Scanf.sscanf_opt l " %d %s" (fun pid _ -> pid))
+    |> List.filter (fun pid -> pid <> s.Attach.sn_shell_proc.Proc.pid)
+  in
+  cycle ();
+  let after_one = ps_others () in
+  check_b "ps lists the app" true (after_one <> []);
+  for _ = 1 to 49 do cycle () done;
+  check_b "same pids after 50 cycles" true (ps_others () = after_one)
+
 let () =
   Alcotest.run "os"
     [
@@ -565,5 +668,13 @@ let () =
           Alcotest.test_case "rlimit fsize" `Quick test_rlimit_fsize_via_kernel;
           Alcotest.test_case "hostname per uts" `Quick test_hostname_per_uts;
           Alcotest.test_case "exit closes fds" `Quick test_exit_closes_fds;
+        ] );
+      ( "reap",
+        [
+          Alcotest.test_case "exit reaps proc, ns, hostname, cgroup" `Quick test_exit_reaps;
+          Alcotest.test_case "cgroup procs sorted" `Quick test_cgroup_procs_sorted;
+          Alcotest.test_case "exit keeps shared sockets" `Quick test_exit_keeps_shared_sockets;
+          Alcotest.test_case "propagation skips reaped ns" `Quick test_propagation_skips_reaped;
+          Alcotest.test_case "ps after 50 attach cycles" `Quick test_churn_ps;
         ] );
     ]
