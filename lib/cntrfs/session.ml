@@ -18,6 +18,7 @@ type t = {
   mutable server_proc : Proc.t;
   fs : Fsops.t;
   fault : Fault.t option;
+  mutable fault_hook : (op:string -> Proc.t -> Repro_util.Errno.t option) option;
   mutable m_recoveries : Repro_obs.Metrics.counter option;
 }
 
@@ -79,6 +80,7 @@ let create ~kernel ~server_proc ~root_path ?(opts = Opts.cntr_default) ?(threads
       server_proc;
       fs = Driver.ops driver;
       fault = plane;
+      fault_hook = None;
       m_recoveries = None;
     }
   in
@@ -87,12 +89,22 @@ let create ~kernel ~server_proc ~root_path ?(opts = Opts.cntr_default) ?(threads
       (* Backing-store faults hit the server's syscalls only — whichever
          process is currently serving, so recovery's relaunch stays
          covered while app syscalls never are. *)
-      Kernel.set_fault kernel
-        (Some
-           (fun ~op proc ->
-             if proc == t.server_proc then Fault.backing_errno f ~op else None))
+      let hook ~op proc =
+        if proc == t.server_proc then Fault.backing_errno f ~op else None
+      in
+      t.fault_hook <- Some hook;
+      Kernel.set_fault kernel t.fault_hook
   | None -> ());
   t
+
+(* The kernel's fault hook captures the session, so a detached session
+   must take it down, or it stays reachable.  Only its own hook: a session
+   armed later has replaced it and keeps it. *)
+let disarm t =
+  (match (t.fault_hook, t.kernel.Kernel.k_fault) with
+  | Some mine, Some installed when mine == installed -> Kernel.set_fault t.kernel None
+  | _ -> ());
+  t.fault_hook <- None
 
 let fs t = t.fs
 let obs t = Conn.obs t.conn

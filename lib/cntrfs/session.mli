@@ -18,6 +18,9 @@ type t = {
   mutable server_proc : Proc.t;
   fs : Fsops.t;  (** mount this with {!Kernel.mount_at} *)
   fault : Repro_fault.Fault.t option;  (** the armed plane, when any *)
+  mutable fault_hook : (op:string -> Proc.t -> Repro_util.Errno.t option) option;
+      (** the backing-fault hook this session installed in the kernel,
+          until {!disarm} *)
   mutable m_recoveries : Repro_obs.Metrics.counter option;
 }
 
@@ -62,6 +65,11 @@ val stats : t -> Conn.stats
 
 (** The armed fault plane, when the session was created with one. *)
 val fault : t -> Repro_fault.Fault.t option
+
+(** Take this session's backing-fault hook out of the kernel, if it is
+    still the installed one; a hook installed since by another session
+    stays.  Attach calls it on detach. *)
+val disarm : t -> unit
 
 (** Relaunch the CntrFS server after a crash: fork a replacement process,
     replay the driver's inode map into it ({!Server.restore}), swap the

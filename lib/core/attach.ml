@@ -231,7 +231,8 @@ let detach session =
     in
     exit_if_alive session.sn_shell_proc;
     exit_if_alive session.sn_cntrfs.Session.server_proc;
-    exit_if_alive session.sn_cntr_proc
+    exit_if_alive session.sn_cntr_proc;
+    Session.disarm session.sn_cntrfs
   end
 
 (* Bracket: attach, hand the session to [f], always detach — even when [f]

@@ -43,8 +43,10 @@ type stats = {
 }
 
 (* Per-opcode counter handles, cached so the request path never does a
-   name lookup: count, bytes each way, and the latency histogram. *)
+   name lookup: count, bytes each way, the latency histogram, and the
+   opcode's trace span name. *)
 type kind_metrics = {
+  km_span : string;
   km_count : Metrics.counter;
   km_to : Metrics.counter;
   km_from : Metrics.counter;
@@ -200,6 +202,7 @@ let kind_metrics t kind =
       let key suffix = Printf.sprintf "fuse.req.%s.%s" kind suffix in
       let km =
         {
+          km_span = "fuse.req." ^ kind;
           km_count = Metrics.counter m (key "count");
           km_to = Metrics.counter m (key "bytes_to_server");
           km_from = Metrics.counter m (key "bytes_from_server");
@@ -357,7 +360,7 @@ let process t w item =
             (Int64.to_int (Int64.sub fin item.it_submit_ns));
           Repro_obs.Trace.record
             (Repro_obs.Obs.tracer t.obs)
-            ~name:("fuse.req." ^ item.it_kind)
+            ~name:item.it_km.km_span
             ~begin_ns:item.it_submit_ns ~end_ns:fin ())
 
 let rec worker_loop t w =
@@ -713,7 +716,7 @@ let supervised_call t ~splice ctx req =
       Metrics.observe_ns it.it_km.km_latency (Int64.to_int (Int64.sub end_ns begin_ns));
       Repro_obs.Trace.record
         (Repro_obs.Obs.tracer t.obs)
-        ~name:("fuse.req." ^ it.it_kind)
+        ~name:it.it_km.km_span
         ~begin_ns ~end_ns ();
       match resp with
       | Protocol.R_err (Errno.ETIMEDOUT | Errno.EINTR | Errno.ENOMEM)
@@ -753,7 +756,7 @@ let call t ?(splice = false) ctx req =
         Metrics.observe_ns it.it_km.km_latency (Int64.to_int (Int64.sub end_ns begin_ns));
         Repro_obs.Trace.record
           (Repro_obs.Obs.tracer t.obs)
-          ~name:("fuse.req." ^ it.it_kind)
+          ~name:it.it_km.km_span
           ~begin_ns ~end_ns ();
         resp
       end
@@ -797,7 +800,7 @@ let call_group t ?(splice = false) ctx reqs =
                   (Int64.to_int (Int64.sub end_ns begin_ns));
                 Repro_obs.Trace.record
                   (Repro_obs.Obs.tracer t.obs)
-                  ~name:("fuse.req." ^ it.it_kind)
+                  ~name:it.it_km.km_span
                   ~begin_ns ~end_ns ())
               items;
             resps

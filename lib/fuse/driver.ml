@@ -49,6 +49,9 @@ type t = {
   (* dentry/attr caches carry a virtual-clock expiry; 0L = valid forever
      (the paper's behaviour, when the *_timeout_ns knobs are zero) *)
   entries : (Types.ino * string, Types.ino * int64) Hashtbl.t;
+  (* how many [entries] name each ino, expired ones included; an ino with
+     no cached dentry has no binding *)
+  entry_refs : (Types.ino, int) Hashtbl.t;
   attrs : (Types.ino, Types.stat * int64) Hashtbl.t;
   (* negative dentries: names known absent, until the stored expiry *)
   neg : (Types.ino * string, int64) Hashtbl.t;
@@ -173,10 +176,31 @@ let cached_attr t ino =
       None
   | None -> None
 
+let ref_entry t ino =
+  Hashtbl.replace t.entry_refs ino
+    (1 + Option.value ~default:0 (Hashtbl.find_opt t.entry_refs ino))
+
+let unref_entry t ino =
+  match Hashtbl.find_opt t.entry_refs ino with
+  | Some n when n > 1 -> Hashtbl.replace t.entry_refs ino (n - 1)
+  | _ -> Hashtbl.remove t.entry_refs ino
+
+let drop_entry t parent name =
+  match Hashtbl.find_opt t.entries (parent, name) with
+  | Some (ino, _) ->
+      Hashtbl.remove t.entries (parent, name);
+      unref_entry t ino
+  | None -> ()
+
 let put_entry ?valid_ns t parent name ino =
   if t.opts.Opts.entry_cache then begin
     let v = Option.value ~default:t.opts.Opts.entry_timeout_ns valid_ns in
-    Hashtbl.replace t.entries (parent, name) (ino, expiry_of t v)
+    let key = (parent, name) in
+    (match Hashtbl.find_opt t.entries key with
+    | Some (old, _) -> unref_entry t old
+    | None -> ());
+    Hashtbl.replace t.entries key (ino, expiry_of t v);
+    ref_entry t ino
   end
 
 let cached_entry t parent name =
@@ -185,7 +209,7 @@ let cached_entry t parent name =
     match Hashtbl.find_opt t.entries (parent, name) with
     | Some (ino, exp) when not (expired t exp) -> Some ino
     | Some _ ->
-        Hashtbl.remove t.entries (parent, name);
+        drop_entry t parent name;
         None
     | None -> None
 
@@ -248,14 +272,11 @@ let size_of t ino = Option.value ~default:0 (Hashtbl.find_opt t.sizes ino)
 
 let invalidate_attr t ino = Hashtbl.remove t.attrs ino
 
-let drop_entry t parent name = Hashtbl.remove t.entries (parent, name)
-
 (* --- forgets ------------------------------------------------------------ *)
 
 (* Is any cached dentry still referencing this inode?  (A second hardlink
    keeps the inode alive after one name is unlinked.) *)
-let ino_referenced t ino =
-  Hashtbl.fold (fun _ (v, _) acc -> acc || v = ino) t.entries false
+let ino_referenced t ino = Hashtbl.mem t.entry_refs ino
 
 let queue_forget t ino =
   match Hashtbl.find_opt t.nlookup ino with
@@ -454,6 +475,7 @@ let create ~conn ~opts ~budget =
       pdata = Hashtbl.create 1024;
       sizes = Hashtbl.create 64;
       entries = Hashtbl.create 256;
+      entry_refs = Hashtbl.create 256;
       attrs = Hashtbl.create 256;
       neg = Hashtbl.create 64;
       capneg = Hashtbl.create 64;

@@ -15,8 +15,7 @@ type mount = {
   m_ns : int; (* owning namespace id *)
   m_fs : Fsops.t;
   m_root : Types.ino;
-  mutable m_parent : int option;
-  mutable m_mp : (int * Types.ino) option; (* (parent mount id, mountpoint ino) *)
+  m_mp : (int * Types.ino) option; (* (parent mount id, mountpoint ino) *)
   mutable m_prop : propagation;
   mutable m_ro : bool;
 }
@@ -24,6 +23,9 @@ type mount = {
 type ns = {
   ns_id : int;
   mounts : (int, mount) Hashtbl.t;
+  (* the same mounts by mountpoint: parent mount id -> mountpoint ino ->
+     the mounts stacked there, highest id (the topmost) first *)
+  stacked : (int, (Types.ino, mount list) Hashtbl.t) Hashtbl.t;
   mutable root : int; (* root mount id *)
   mutable ns_procs : int; (* live processes inside; the kernel keeps it *)
 }
@@ -50,13 +52,14 @@ let create_ns ~fs ?root_ino ?(prop = Private) () =
       m_ns = ns_id;
       m_fs = fs;
       m_root = root_ino;
-      m_parent = None;
       m_mp = None;
       m_prop = prop;
       m_ro = false;
     }
   in
-  let ns = { ns_id; mounts = Hashtbl.create 16; root = m.m_id; ns_procs = 0 } in
+  let ns =
+    { ns_id; mounts = Hashtbl.create 16; stacked = Hashtbl.create 8; root = m.m_id; ns_procs = 0 }
+  in
   Hashtbl.replace ns.mounts m.m_id m;
   ns
 
@@ -70,15 +73,48 @@ let root_mount ns =
 (* The topmost mount stacked on mountpoint (parent mount [mid], inode
    [ino]), if any. *)
 let mount_on ns ~mid ~ino =
-  Hashtbl.fold
-    (fun _ m best ->
-      match m.m_mp with
-      | Some (pmid, pino) when pmid = mid && pino = ino -> (
-          match best with
-          | Some b when b.m_id > m.m_id -> best
-          | _ -> Some m)
-      | _ -> best)
-    ns.mounts None
+  match Hashtbl.find_opt ns.stacked mid with
+  | None -> None
+  | Some at -> (
+      match Hashtbl.find_opt at ino with Some (m :: _) -> Some m | _ -> None)
+
+(* Record [m] in the mountpoint index, keeping each stack highest id first.
+   A fresh mount always has the highest id, but [clone_ns] renumbers in
+   table order, so the insertion is sorted. *)
+let index ns m =
+  match m.m_mp with
+  | None -> ()
+  | Some (pmid, pino) ->
+      let at =
+        match Hashtbl.find_opt ns.stacked pmid with
+        | Some at -> at
+        | None ->
+            let at = Hashtbl.create 4 in
+            Hashtbl.replace ns.stacked pmid at;
+            at
+      in
+      let rec insert = function
+        | top :: rest when top.m_id > m.m_id -> top :: insert rest
+        | stack -> m :: stack
+      in
+      Hashtbl.replace at pino
+        (insert (Option.value ~default:[] (Hashtbl.find_opt at pino)))
+
+let unindex ns m =
+  match m.m_mp with
+  | None -> ()
+  | Some (pmid, pino) -> (
+      match Hashtbl.find_opt ns.stacked pmid with
+      | None -> ()
+      | Some at -> (
+          match
+            List.filter (fun o -> o.m_id <> m.m_id)
+              (Option.value ~default:[] (Hashtbl.find_opt at pino))
+          with
+          | [] ->
+              Hashtbl.remove at pino;
+              if Hashtbl.length at = 0 then Hashtbl.remove ns.stacked pmid
+          | stack -> Hashtbl.replace at pino stack))
 
 (* Raw insertion of a mount record (propagation is the kernel's job). *)
 let add ns ~parent ~mp_ino ~fs ~root_ino ~prop ~ro =
@@ -88,21 +124,28 @@ let add ns ~parent ~mp_ino ~fs ~root_ino ~prop ~ro =
       m_ns = ns.ns_id;
       m_fs = fs;
       m_root = root_ino;
-      m_parent = Some parent;
       m_mp = Some (parent, mp_ino);
       m_prop = prop;
       m_ro = ro;
     }
   in
   Hashtbl.replace ns.mounts m.m_id m;
+  index ns m;
   m
 
+(* The mounts whose parent is [mid] (a mount's parent is the mount its
+   mountpoint lies in). *)
 let children ns mid =
-  Hashtbl.fold
-    (fun _ m acc -> if m.m_parent = Some mid then m :: acc else acc)
-    ns.mounts []
+  match Hashtbl.find_opt ns.stacked mid with
+  | None -> []
+  | Some at -> Hashtbl.fold (fun _ stack acc -> stack @ acc) at []
 
-let remove ns mid = Hashtbl.remove ns.mounts mid
+let remove ns mid =
+  match find ns mid with
+  | Some m ->
+      Hashtbl.remove ns.mounts mid;
+      unindex ns m
+  | None -> ()
 
 (* Copy every mount into a fresh namespace, preserving structure and
    propagation (clones of shared mounts stay in the same peer group, as in
@@ -122,13 +165,16 @@ let clone_ns ns =
           m with
           m_id = remap old_id;
           m_ns = new_ns_id;
-          m_parent = Option.map remap m.m_parent;
           m_mp = Option.map (fun (p, i) -> (remap p, i)) m.m_mp;
         }
       in
       Hashtbl.replace mounts m'.m_id m')
     ns.mounts;
-  { ns_id = new_ns_id; mounts; root = remap ns.root; ns_procs = 0 }
+  let clone =
+    { ns_id = new_ns_id; mounts; stacked = Hashtbl.create 8; root = remap ns.root; ns_procs = 0 }
+  in
+  Hashtbl.iter (fun _ m -> index clone m) mounts;
+  clone
 
 (* mount --make-rprivate /: detach every mount from its peer group. *)
 let make_rprivate ns =

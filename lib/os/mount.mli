@@ -15,8 +15,7 @@ type mount = {
   m_ns : int;  (** owning namespace id *)
   m_fs : Fsops.t;
   m_root : Types.ino;  (** root inode of this mount within [m_fs] *)
-  mutable m_parent : int option;
-  mutable m_mp : (int * Types.ino) option;  (** (parent mount id, mountpoint ino) *)
+  m_mp : (int * Types.ino) option;  (** (parent mount id, mountpoint ino) *)
   mutable m_prop : propagation;
   mutable m_ro : bool;
 }
@@ -24,6 +23,11 @@ type mount = {
 type ns = {
   ns_id : int;
   mounts : (int, mount) Hashtbl.t;
+  stacked : (int, (Types.ino, mount list) Hashtbl.t) Hashtbl.t;
+      (** the same mounts indexed by mountpoint: parent mount id ->
+          mountpoint ino -> the mounts stacked there, topmost (highest
+          id) first.  Kept by {!add}, {!remove} and {!clone_ns}; change
+          [mounts] only through them. *)
   mutable root : int;  (** root mount id *)
   mutable ns_procs : int;
       (** live processes inside it.  The kernel counts them on fork, exit,

@@ -15,23 +15,26 @@
 
 open Repro_util
 
-module Key = struct
-  type t = int64 * int
+(* A suspended fiber: the continuation, the fiber-local time at which it
+   parked, and the fiber's id.  Resuming never rewinds the fiber below
+   [pk_at]. *)
+type parked = {
+  pk_at : int64;
+  pk_k : (unit, unit) Effect.Deep.continuation;
+  pk_id : int;
+}
 
-  let compare (a1, s1) (a2, s2) =
-    match Int64.compare a1 a2 with 0 -> compare (s1 : int) s2 | c -> c
-end
-
-module Pq = Map.Make (Key)
-
-(* A suspended fiber: the continuation plus the fiber-local time at which it
-   parked.  Resuming never rewinds the fiber below [pk_at]. *)
-type parked = { pk_at : int64; pk_k : (unit, unit) Effect.Deep.continuation }
-
+(* The event queue is an array binary min-heap on (time, seq), kept as
+   parallel arrays so pushing and popping allocate nothing (the times stay
+   the boxes the callers passed in).  [seq] is unique, so the pop order is
+   total and equals the sorted order of the keys. *)
 type t = {
   clock : Clock.t;
   mutable seq : int;
-  mutable events : (unit -> unit) Pq.t;
+  mutable h_at : int64 array;
+  mutable h_seq : int array;
+  mutable h_fn : (unit -> unit) array;
+  mutable h_len : int;
   mutable next_id : int;
 }
 
@@ -112,21 +115,117 @@ end
 
 exception Deadlock of string
 
-type _ Effect.t +=
-  | Suspend : (parked -> unit) -> unit Effect.t
-  | Current : int Effect.t
+type _ Effect.t += Suspend : (parked -> unit) -> unit Effect.t
 
-let create ~clock = { clock; seq = 0; events = Pq.empty; next_id = 0 }
+let create ~clock =
+  {
+    clock;
+    seq = 0;
+    h_at = Array.make 16 0L;
+    h_seq = Array.make 16 0;
+    h_fn = Array.make 16 ignore;
+    h_len = 0;
+    next_id = 0;
+  }
+
 let clock t = t.clock
 
-(* Fiber id of the caller; 0 when running at top level (the "main thread"),
-   where no effect handler is installed. *)
-let current_id () = try Effect.perform Current with Effect.Unhandled _ -> 0
+(* The id of the fiber running on this domain; 0 at top level (the "main
+   thread").  Every fiber segment sets it on entry and restores the value
+   it found when the segment ends, so a fiber run nested inside another's
+   segment hands the id back. *)
+let running : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+
+let current_id () = !(Domain.DLS.get running)
 let in_task () = current_id () > 0
+
+(* {2 Heap} *)
+
+let before t i j =
+  match Int64.compare t.h_at.(i) t.h_at.(j) with
+  | 0 -> t.h_seq.(i) < t.h_seq.(j)
+  | c -> c < 0
+
+let swap t i j =
+  let at = t.h_at.(i) and sq = t.h_seq.(i) and fn = t.h_fn.(i) in
+  t.h_at.(i) <- t.h_at.(j);
+  t.h_seq.(i) <- t.h_seq.(j);
+  t.h_fn.(i) <- t.h_fn.(j);
+  t.h_at.(j) <- at;
+  t.h_seq.(j) <- sq;
+  t.h_fn.(j) <- fn
+
+let rec sift_up t i =
+  if i > 0 then begin
+    let p = (i - 1) / 2 in
+    if before t i p then begin
+      swap t i p;
+      sift_up t p
+    end
+  end
+
+let rec sift_down t i =
+  let l = (2 * i) + 1 in
+  if l < t.h_len then begin
+    let r = l + 1 in
+    let c = if r < t.h_len && before t r l then r else l in
+    if before t c i then begin
+      swap t i c;
+      sift_down t c
+    end
+  end
+
+let grow t =
+  let n = 2 * Array.length t.h_at in
+  let at = Array.make n 0L and sq = Array.make n 0 and fn = Array.make n ignore in
+  Array.blit t.h_at 0 at 0 t.h_len;
+  Array.blit t.h_seq 0 sq 0 t.h_len;
+  Array.blit t.h_fn 0 fn 0 t.h_len;
+  t.h_at <- at;
+  t.h_seq <- sq;
+  t.h_fn <- fn
 
 let schedule t ~at fn =
   t.seq <- t.seq + 1;
-  t.events <- Pq.add (at, t.seq) fn t.events
+  if t.h_len = Array.length t.h_at then grow t;
+  let i = t.h_len in
+  t.h_at.(i) <- at;
+  t.h_seq.(i) <- t.seq;
+  t.h_fn.(i) <- fn;
+  t.h_len <- i + 1;
+  sift_up t i
+
+(* Remove the minimum; the vacated slot drops its closure so a run event
+   is not kept alive by the queue. *)
+let pop_min t =
+  let last = t.h_len - 1 in
+  t.h_len <- last;
+  t.h_at.(0) <- t.h_at.(last);
+  t.h_seq.(0) <- t.h_seq.(last);
+  t.h_fn.(0) <- t.h_fn.(last);
+  t.h_fn.(last) <- ignore;
+  sift_down t 0
+
+(* {2 Fibers} *)
+
+(* A fiber segment starts with [enter id], which returns the id it
+   displaced, and ends with [leave] of that id when the fiber suspends,
+   returns or raises. *)
+let enter id =
+  let running = Domain.DLS.get running in
+  let outer = !running in
+  running := id;
+  outer
+
+let leave outer = Domain.DLS.get running := outer
+
+let continue_parked p =
+  let outer = enter p.pk_id in
+  match Effect.Deep.continue p.pk_k () with
+  | () -> leave outer
+  | exception e ->
+      leave outer;
+      raise e
 
 (* Make a parked fiber runnable.  It resumes no earlier than both its own
    park time and the waker's current time: a reply cannot be seen before it
@@ -134,7 +233,7 @@ let schedule t ~at fn =
 let resume t p =
   let now = Clock.now_ns t.clock in
   let at = if Int64.compare now p.pk_at > 0 then now else p.pk_at in
-  schedule t ~at (fun () -> Effect.Deep.continue p.pk_k ())
+  schedule t ~at (fun () -> continue_parked p)
 
 let suspend register = Effect.perform (Suspend register)
 
@@ -142,25 +241,29 @@ let run_fiber t (id : int) f =
   let effc : type a. a Effect.t -> ((a, unit) Effect.Deep.continuation -> unit) option =
     function
     | Suspend register ->
-        Some (fun k -> register { pk_at = Clock.now_ns t.clock; pk_k = k })
-    | Current -> Some (fun k -> Effect.Deep.continue k id)
+        Some (fun k -> register { pk_at = Clock.now_ns t.clock; pk_k = k; pk_id = id })
     | _ -> None
   in
-  Effect.Deep.match_with f ()
-    { Effect.Deep.retc = (fun () -> ()); exnc = raise; effc }
+  let outer = enter id in
+  match
+    Effect.Deep.match_with f () { Effect.Deep.retc = (fun () -> ()); exnc = raise; effc }
+  with
+  | () -> leave outer
+  | exception e ->
+      leave outer;
+      raise e
 
-let pending_events t = Pq.cardinal t.events
+let pending_events t = t.h_len
 
 (* Pop-and-run events until [stop] holds.  The clock warps to each event's
    timestamp before the owning fiber's segment runs. *)
 let drive_until t stop =
   while not (stop ()) do
-    match Pq.min_binding_opt t.events with
-    | None -> raise (Deadlock "Sched: waiting with no runnable task")
-    | Some (((at, _) as key), fn) ->
-        t.events <- Pq.remove key t.events;
-        Clock.set_ns t.clock at;
-        fn ()
+    if t.h_len = 0 then raise (Deadlock "Sched: waiting with no runnable task");
+    let at = t.h_at.(0) and fn = t.h_fn.(0) in
+    pop_min t;
+    Clock.set_ns t.clock at;
+    fn ()
   done
 
 (* {1 Ivars} *)
@@ -255,7 +358,12 @@ type mutex = {
   mutable mu_owner : int; (* 0 = free *)
   mutable mu_depth : int;
   mutable mu_hold_start : int64; (* acquisition time of the current hold *)
-  mutable mu_holds : (int64 * int64) list; (* committed holds, newest first *)
+  mutable mu_holds : int64 array;
+      (* committed holds as (begin, end) pairs in a ring of [max_holds]
+         slots; empty until the first unlock, since most locks are never
+         taken *)
+  mutable mu_next : int; (* ring slot the next hold goes into *)
+  mutable mu_nholds : int; (* holds in the ring, at most [max_holds] *)
   mu_waiters : parked Dq.t;
 }
 
@@ -268,28 +376,42 @@ let mutex () =
     mu_owner = 0;
     mu_depth = 0;
     mu_hold_start = 0L;
-    mu_holds = [];
+    mu_holds = [||];
+    mu_next = 0;
+    mu_nholds = 0;
     mu_waiters = Dq.create ();
   }
 
 let owner_token () = match current_id () with 0 -> -1 | id -> id
 
+(* The earliest instant at or after [s] inside no committed hold.  Holds
+   are searched newest first; landing inside one restarts the search from
+   its end. *)
+let rec settle m s = settle_scan m s m.mu_next m.mu_nholds
+
+and settle_scan m s slot left =
+  if left = 0 then s
+  else
+    let slot = if slot = 0 then max_holds - 1 else slot - 1 in
+    let b = m.mu_holds.(2 * slot) and e = m.mu_holds.((2 * slot) + 1) in
+    if Int64.compare b s <= 0 && Int64.compare s e < 0 then settle m e
+    else settle_scan m s slot (left - 1)
+
 let acquired t m me =
   m.mu_owner <- me;
   m.mu_depth <- 1;
-  let rec settle s =
-    match
-      List.find_opt
-        (fun (b, e) -> Int64.compare b s <= 0 && Int64.compare s e < 0)
-        m.mu_holds
-    with
-    | Some (_, e) -> settle e
-    | None -> s
-  in
   let now = Clock.now_ns t.clock in
-  let s = settle now in
+  let s = settle m now in
   if Int64.compare s now > 0 then Clock.set_ns t.clock s;
   m.mu_hold_start <- s
+
+let commit_hold m b e =
+  if Array.length m.mu_holds = 0 then m.mu_holds <- Array.make (2 * max_holds) 0L;
+  let slot = m.mu_next in
+  m.mu_holds.(2 * slot) <- b;
+  m.mu_holds.((2 * slot) + 1) <- e;
+  m.mu_next <- (if slot = max_holds - 1 then 0 else slot + 1);
+  if m.mu_nholds < max_holds then m.mu_nholds <- m.mu_nholds + 1
 
 let rec lock t m =
   let me = owner_token () in
@@ -309,10 +431,7 @@ let unlock t m =
   m.mu_depth <- m.mu_depth - 1;
   if m.mu_depth = 0 then begin
     m.mu_owner <- 0;
-    m.mu_holds <-
-      List.filteri
-        (fun i _ -> i < max_holds)
-        ((m.mu_hold_start, Clock.now_ns t.clock) :: m.mu_holds);
+    commit_hold m m.mu_hold_start (Clock.now_ns t.clock);
     match Dq.pop_front m.mu_waiters with
     | None -> ()
     | Some p -> resume t p
@@ -320,7 +439,13 @@ let unlock t m =
 
 let with_lock t m f =
   lock t m;
-  Fun.protect ~finally:(fun () -> unlock t m) f
+  match f () with
+  | v ->
+      unlock t m;
+      v
+  | exception e ->
+      unlock t m;
+      raise e
 
 (* {1 Condition variables} *)
 
@@ -363,14 +488,14 @@ let broadcast t cv =
 let yield t =
   if in_task () then
     suspend (fun p ->
-        schedule t ~at:p.pk_at (fun () -> Effect.Deep.continue p.pk_k ()))
+        schedule t ~at:p.pk_at (fun () -> continue_parked p))
 
 let sleep_ns t ns =
   if in_task () then
     suspend (fun p ->
         schedule t
           ~at:(Int64.add p.pk_at (Int64.of_int ns))
-          (fun () -> Effect.Deep.continue p.pk_k ()))
+          (fun () -> continue_parked p))
   else Clock.consume_int t.clock ns
 
 (* {1 Work-stealing pool state}
@@ -552,17 +677,14 @@ module Ws = struct
     let n = size p in
     if n <= 1 then []
     else begin
-      let others = ref [] in
-      for i = n - 1 downto 0 do
-        if i <> thief then others := i :: !others
-      done;
-      let others = Array.of_list !others in
-      let m = Array.length others in
+      (* the other workers in id order: the thief's slot is skipped *)
+      let m = n - 1 in
+      let other j = if j >= thief then j + 1 else j in
       let draw = Int64.logxor (Rng.next_int64 p.ws_rngs.(thief)) now in
       let start =
         Int64.to_int (Int64.rem (Int64.logand draw Int64.max_int) (Int64.of_int m))
       in
-      List.init m (fun k -> others.((start + k) mod m))
+      List.init m (fun k -> other ((start + k) mod m))
     end
 
   (* Oldest-first snapshot of everything queued anywhere (used on crash

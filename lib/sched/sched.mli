@@ -20,7 +20,10 @@ val create : clock:Repro_util.Clock.t -> t
 val clock : t -> Repro_util.Clock.t
 
 val current_id : unit -> int
-(** Fiber id of the caller; [0] at top level (outside any task). *)
+(** Fiber id of the caller; [0] at top level (outside any task).  Inside a
+    fiber run nested in another's segment it is the innermost fiber's id.
+    The scheduler records it per domain as fibers enter and leave
+    segments, so asking costs no effect. *)
 
 val in_task : unit -> bool
 
@@ -65,7 +68,8 @@ val drive_main : t -> (unit -> bool) -> unit
     virtual time: completed sections are committed as hold intervals, and
     acquisition settles the taker to the earliest instant not inside any
     committed hold — a taker arriving in a gap before an already-committed
-    hold acquires at its own time. *)
+    hold acquires at its own time.  The last 32 holds are kept in a ring;
+    older ones are forgotten. *)
 
 type mutex
 

@@ -425,7 +425,7 @@ let test_detach_races_recovery () =
    namespace they built (the nested one holds the CntrFS mount: driver,
    connection, server).  Kept out of line so no strong reference to them
    survives on the caller's stack. *)
-let[@inline never] detached_session world d script =
+let[@inline never] detached_session ?fault_plan world d script =
   let k = world.World.kernel in
   let c = Client.in_process d in
   let before = Kernel.census k in
@@ -436,7 +436,7 @@ let[@inline never] detached_session world d script =
       (fun pid p -> if not (Hashtbl.mem old_procs pid) then Hashtbl.replace born pid p)
       k.Kernel.procs
   in
-  let sid = (ok' (Client.session_create c "web")).Client.sc_session in
+  let sid = (ok' (Client.session_create c ?fault_plan "web")).Client.sc_session in
   note ();
   script c sid;
   note ();
@@ -489,6 +489,29 @@ let test_leak_cancelled_exec () =
          in
          Client.cancel c tk;
          check_i "cancelled" Rpc.cancelled (err_code (Client.await c tk))))
+
+let test_leak_fault_armed () =
+  (* an armed plan installs a kernel-wide backing-fault hook that captures
+     the session; detach must take it down again *)
+  let world = boot () in
+  let d = Daemon.create world in
+  check_collected world
+    (detached_session ~fault_plan:"seed 3\nbacking mkdir nth=1000 fail=EIO" world d
+       (fun c sid -> ignore (ok' (Client.session_exec c ~session:sid "ls /"))));
+  let k = world.World.kernel in
+  check_b "the kernel's fault hook is gone" true (k.Kernel.k_fault = None);
+  (* detaching an earlier armed session leaves a later one's hook armed *)
+  let c = Client.in_process d in
+  let armed () =
+    (ok' (Client.session_create c ~fault_plan:"seed 3\nbacking mkdir nth=1000 fail=EIO" "web"))
+      .Client.sc_session
+  in
+  let first = armed () in
+  let second = armed () in
+  ignore (ok' (Client.session_detach c ~session:first));
+  check_b "the later session's hook stays" true (k.Kernel.k_fault <> None);
+  ignore (ok' (Client.session_detach c ~session:second));
+  check_b "and goes with it" true (k.Kernel.k_fault = None)
 
 (* --- subscriptions ----------------------------------------------------------- *)
 
@@ -772,6 +795,7 @@ let () =
           Alcotest.test_case "plain detach" `Quick test_leak_plain_detach;
           Alcotest.test_case "detach after crash-recover" `Quick test_leak_after_recover;
           Alcotest.test_case "detach after cancelled exec" `Quick test_leak_cancelled_exec;
+          Alcotest.test_case "detach of a fault-armed session" `Quick test_leak_fault_armed;
         ] );
       ( "events",
         [

@@ -221,6 +221,41 @@ let test_forget_unbatched () =
   done;
   check_b "one forget per ino" true (kind_count w "forget" >= 10)
 
+let test_forget_waits_for_last_hardlink () =
+  (* the driver counts the cached dentries naming each inode: unlinking
+     one of two hardlinks leaves the other's dentry behind, so the inode
+     must not be forgotten until the second name goes too *)
+  let w = boot ~opts:{ Opts.cntr_default with Opts.forget_batch = 1 } () in
+  write_file w "/mnt/a" "x";
+  ok (Kernel.link w.k w.init ~target:"/mnt/a" ~linkpath:"/mnt/b");
+  let f0 = kind_count w "forget" in
+  ok (Kernel.unlink w.k w.init "/mnt/a");
+  check_i "first name unlinked: no forget" f0 (kind_count w "forget");
+  ok (Kernel.unlink w.k w.init "/mnt/b");
+  check_i "last name unlinked: one forget" (f0 + 1) (kind_count w "forget")
+
+(* --- allocation ratchet ---------------------------------------------------------
+
+   What one warm round trip allocates on the host: the submit, the worker's
+   service and the reply, with the worker pool, the opcode's metric handles,
+   the server's caches and every lock's hold history already in place.
+   The count repeats exactly on one toolchain (467 minor words on OCaml
+   5.1.1); the bound leaves headroom over it. *)
+
+let test_round_trip_alloc () =
+  let w = boot () in
+  let call () =
+    ignore (Conn.call w.session.Session.conn Protocol.root_ctx (Protocol.Getattr 1))
+  in
+  (* past 32 calls every lock on the path has a full hold history *)
+  for _ = 1 to 40 do
+    call ()
+  done;
+  let before = Gc.minor_words () in
+  call ();
+  let words = int_of_float (Gc.minor_words () -. before) in
+  check_b (Printf.sprintf "warm round trip allocates %d <= 600 words" words) true (words <= 600)
+
 (* --- driver caches -------------------------------------------------------------- *)
 
 let test_entry_cache_avoids_lookups () =
@@ -689,7 +724,10 @@ let () =
         [
           Alcotest.test_case "batched" `Quick test_forget_batching;
           Alcotest.test_case "unbatched" `Quick test_forget_unbatched;
+          Alcotest.test_case "waits for the last hardlink" `Quick
+            test_forget_waits_for_last_hardlink;
         ] );
+      ("alloc", [ Alcotest.test_case "warm round trip" `Quick test_round_trip_alloc ]);
       ( "caches",
         [
           Alcotest.test_case "entry cache" `Quick test_entry_cache_avoids_lookups;

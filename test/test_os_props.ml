@@ -83,6 +83,81 @@ let prop_mount_stacking =
       in
       unwind (depth - 1) true)
 
+(* --- mountpoint index ------------------------------------------------------------ *)
+
+(* The reference for [Mount.mount_on]: a fold over every mount of the
+   namespace, keeping the highest id stacked on the mountpoint. *)
+let mount_on_oracle ns ~mid ~ino =
+  Hashtbl.fold
+    (fun _ m best ->
+      match m.Mount.m_mp with
+      | Some (pmid, pino) when pmid = mid && pino = ino -> (
+          match best with
+          | Some b when b.Mount.m_id > m.Mount.m_id -> best
+          | _ -> Some m)
+      | _ -> best)
+    ns.Mount.mounts None
+
+let index_agrees ns =
+  let same mid ino =
+    match (Mount.mount_on ns ~mid ~ino, mount_on_oracle ns ~mid ~ino) with
+    | None, None -> true
+    | Some a, Some b -> a == b
+    | _ -> false
+  in
+  Hashtbl.fold
+    (fun _ m ok ->
+      ok
+      && same m.Mount.m_id m.Mount.m_root
+      && same m.Mount.m_id (m.Mount.m_root + 1)
+      &&
+      match m.Mount.m_mp with
+      | Some (pmid, pino) -> same pmid pino && same pmid (pino + 1)
+      | None -> true)
+    ns.Mount.mounts true
+
+(* Random mount_at / bind_mount / umount / unshare sequences by two
+   processes over a small tree; the root mount is shared, so mounts
+   propagate into cloned namespaces too.  After every step the index
+   agrees with the fold in every namespace. *)
+let prop_mount_index_matches_fold =
+  let targets = [| "/"; "/a"; "/b"; "/a/c"; "/b/d" |] in
+  let show (op, who, x, y) =
+    Printf.sprintf "%s(p%d,%s,%s)"
+      (match op with 0 -> "mount" | 1 -> "bind" | 2 -> "umount" | _ -> "unshare")
+      who targets.(x) targets.(y)
+  in
+  QCheck.Test.make ~name:"mountpoint index = fold over mounts" ~count:200
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map show l))
+       QCheck.Gen.(
+         list_size (int_range 1 25)
+           (quad (int_bound 3) (int_bound 1) (int_bound 4) (int_bound 4))))
+    (fun steps ->
+      let k, init = boot () in
+      List.iter (fun d -> ok (Kernel.mkdir k init d ~mode:0o755)) [ "/a"; "/b"; "/a/c"; "/b/d" ];
+      let procs = [| init; Kernel.fork k init |] in
+      let clock = k.Kernel.clock and cost = k.Kernel.cost in
+      let all_agree () =
+        Array.for_all (fun p -> index_agrees p.Proc.ns.Proc.mnt) procs
+        && Hashtbl.fold (fun _ ns acc -> acc && index_agrees ns) k.Kernel.namespaces true
+      in
+      List.for_all
+        (fun (op, who, x, y) ->
+          let p = procs.(who) in
+          (match op with
+          | 0 ->
+              let fs = Nativefs.create ~name:"layer" ~clock ~cost Store.Ram () in
+              if Result.is_ok (Kernel.mount_at k p ~fs:(Nativefs.ops fs) targets.(x)) then
+                List.iter
+                  (fun sub -> ignore (Kernel.mkdir k p (targets.(x) ^ sub) ~mode:0o755))
+                  [ "/a"; "/b"; "/c"; "/d" ]
+          | 1 -> ignore (Kernel.bind_mount k p ~src:targets.(x) ~dst:targets.(y))
+          | 2 -> ignore (Kernel.umount k p targets.(x))
+          | _ -> ignore (Kernel.unshare k p [ Namespace.Mnt ]));
+          all_agree ())
+        steps)
+
 (* --- pipes ------------------------------------------------------------------------- *)
 
 (* Random interleavings of writes and reads preserve the byte stream. *)
@@ -173,6 +248,7 @@ let () =
           [
             prop_walk_matches_normalize;
             prop_mount_stacking;
+            prop_mount_index_matches_fold;
             prop_pipe_fifo;
             prop_proxy_stream_preserved;
             prop_umask_respected;

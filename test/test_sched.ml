@@ -128,6 +128,121 @@ let test_mutex_reentrant () =
           Sched.with_lock s m (fun () -> Clock.consume_int clock 10)));
   check_ns "reentrant lock ran" 10 clock
 
+(* --- committed holds ---------------------------------------------------------
+
+   Event order and timeline order differ: a fiber may commit several lock
+   holds in one event segment before a peer whose timeline is earlier gets
+   to run.  These pin how the peer settles against those holds. *)
+
+(* One task commits holds [b, e) back to back in a single event segment. *)
+let commit_holds s clock m holds =
+  Sched.run s (fun () ->
+      List.iter
+        (fun (b, e) ->
+          Clock.set_ns clock (Int64.of_int b);
+          Sched.lock s m;
+          Clock.set_ns clock (Int64.of_int e);
+          Sched.unlock s m)
+        holds)
+
+(* A fresh task arriving at [arrive] takes the lock; returns the instant it
+   acquired at. *)
+let acquire_at s clock m arrive =
+  Clock.set_ns clock 0L;
+  Sched.run s (fun () ->
+      Clock.consume_int clock arrive;
+      Sched.lock s m;
+      let at = Int64.to_int (Clock.now_ns clock) in
+      Sched.unlock s m;
+      at)
+
+let test_hold_gap_keeps_own_time () =
+  let clock, s = mk () in
+  let m = Sched.mutex () in
+  commit_holds s clock m [ (0, 1_000); (2_000, 3_000) ];
+  check_i "arrival in the gap acquires at its own time" 1_500
+    (acquire_at s clock m 1_500);
+  check_i "arrival at a hold's end acquires there" 1_000 (acquire_at s clock m 1_000)
+
+let test_hold_chain_settles_to_end () =
+  let clock, s = mk () in
+  let m = Sched.mutex () in
+  commit_holds s clock m [ (0, 1_000); (1_000, 2_000); (2_000, 3_000); (5_000, 6_000) ];
+  check_i "arrival inside chained holds settles past the chain" 3_000
+    (acquire_at s clock m 500);
+  check_i "arrival inside a lone hold settles to its end" 6_000
+    (acquire_at s clock m 5_500)
+
+let test_hold_oldest_forgotten () =
+  (* holds [10i, 10i+5): the first one is remembered while at most 32
+     holds are kept, and forgotten once a 33rd is committed.  Every probe
+     commits a hold of its own, so each one gets a fresh mutex. *)
+  let probe n arrive =
+    let clock, s = mk () in
+    let m = Sched.mutex () in
+    commit_holds s clock m (List.init n (fun i -> (10 * i, (10 * i) + 5)));
+    acquire_at s clock m arrive
+  in
+  check_i "32 holds: the oldest still settles" 5 (probe 32 2);
+  check_i "33 holds: the oldest is forgotten" 2 (probe 33 2);
+  check_i "33 holds: the second oldest still settles" 15 (probe 33 12);
+  check_i "40 holds: the 9th oldest is the oldest kept" 85 (probe 40 82);
+  check_i "40 holds: the 8th oldest is forgotten" 72 (probe 40 72)
+
+(* --- event order ------------------------------------------------------------ *)
+
+let test_same_time_submission_order () =
+  (* 30 tasks wake at one of three instants; equal instants run in the
+     order their wakeups were submitted *)
+  let clock, s = mk () in
+  let order = ref [] in
+  let tasks =
+    List.init 30 (fun i ->
+        Sched.spawn s (fun () ->
+            Clock.consume_int clock (i * 7);
+            Sched.sleep_ns s ((1 + (i mod 3)) * 1_000 - (i * 7));
+            order := i :: !order))
+  in
+  List.iter (Sched.await s) tasks;
+  let expect =
+    List.init 30 Fun.id
+    |> List.stable_sort (fun a b -> compare (a mod 3) (b mod 3))
+  in
+  Alcotest.(check (list int)) "(time, submission) order" expect (List.rev !order)
+
+(* --- fiber ids --------------------------------------------------------------- *)
+
+let test_current_id () =
+  let _, s = mk () in
+  check_i "top level" 0 (Sched.current_id ());
+  check_b "top level is not a task" false (Sched.in_task ());
+  let seen = ref [] in
+  let note tag = seen := (tag, Sched.current_id ()) :: !seen in
+  Sched.run s (fun () ->
+      note "outer";
+      let inner = Sched.spawn s (fun () -> note "inner") in
+      Sched.await s inner;
+      note "outer after await";
+      let bad = Sched.spawn s (fun () -> note "raiser"; failwith "boom") in
+      (match Sched.await s bad with exception Failure _ -> () | () -> ());
+      note "outer after raise";
+      (* a fiber run nested inside this one's segment: the innermost id
+         shows inside it, and this fiber's id comes back after it raises *)
+      let nested = Sched.spawn s (fun () -> note "nested"; failwith "nested boom") in
+      Sched.drive_main s (fun () -> Sched.pending_events s = 0);
+      note "outer after nested raise";
+      match Sched.await s nested with exception Failure _ -> () | () -> ());
+  check_i "top level after the run" 0 (Sched.current_id ());
+  let id tag = List.assoc tag !seen in
+  let outer = id "outer" in
+  check_b "outer is a fiber" true (outer > 0);
+  check_b "inner has its own id" true (id "inner" > 0 && id "inner" <> outer);
+  check_b "raiser has its own id" true (id "raiser" > 0 && id "raiser" <> outer);
+  check_b "nested has its own id" true (id "nested" > 0 && id "nested" <> outer);
+  check_i "restored after await" outer (id "outer after await");
+  check_i "restored after a raise" outer (id "outer after raise");
+  check_i "restored after a nested raise" outer (id "outer after nested raise")
+
 (* --- condition variables ---------------------------------------------------- *)
 
 let test_cond_broadcast_counts_waiters () =
@@ -371,7 +486,12 @@ let () =
         [
           tc "serializes tasks" `Quick test_mutex_serializes_tasks;
           tc "reentrant" `Quick test_mutex_reentrant;
+          tc "gap before a committed hold" `Quick test_hold_gap_keeps_own_time;
+          tc "chained holds settle to the end" `Quick test_hold_chain_settles_to_end;
+          tc "oldest hold forgotten after 32" `Quick test_hold_oldest_forgotten;
         ] );
+      ("events", [ tc "same time runs in submission order" `Quick test_same_time_submission_order ]);
+      ("fiber-ids", [ tc "current_id" `Quick test_current_id ]);
       ("cond", [ tc "broadcast counts waiters" `Quick test_cond_broadcast_counts_waiters ]);
       ( "sequential-identity",
         [ QCheck_alcotest.to_alcotest qcheck_sequential_identity ] );
