@@ -190,13 +190,24 @@ let e2a () =
 
 let e3 () =
   section "E3 (Figure 3) Effectiveness of the optimizations";
+  let open Repro_workloads.Experiments in
+  let panels = figure3 () in
   List.iter
     (fun a ->
-      let open Repro_workloads.Experiments in
       Printf.printf "%s\n  %-28s before: %8.1f   after: %8.1f   native: %8.1f\n  improvement: %.2fx   (%s)\n\n%!"
         a.a_name a.a_metric a.a_before a.a_after a.a_native
         (a.a_after /. a.a_before) a.a_paper_note)
-    (Repro_workloads.Experiments.figure3 ())
+    panels;
+  let panel a =
+    Jsonx.(
+      Obj
+        [ ("name", Str a.a_name); ("metric", Str a.a_metric); ("before", Dec (6, a.a_before));
+          ("after", Dec (6, a.a_after)); ("native", Dec (6, a.a_native)) ])
+  in
+  Jsonx.(
+    Obj
+      [ ("experiment", Str "e3"); ("metric", Str "per-optimization before/after/native");
+        ("panels", List (List.map panel panels)) ])
 
 (* --- E4: Figure 4 ------------------------------------------------------------ *)
 
@@ -527,22 +538,38 @@ let e7 () =
 
 let ablate () =
   section "Ablation matrix: per-optimization overhead on compilebench-read (lower is better)";
+  let open Repro_workloads.Experiments in
+  let rows = ablation_matrix () in
   List.iter
     (fun row ->
-      let open Repro_workloads.Experiments in
       Printf.printf "  %-44s %6.2fx  %s\n%!" row.mr_config row.mr_overhead
         (String.make (min 60 (int_of_float (row.mr_overhead *. 2.))) '#'))
-    (Repro_workloads.Experiments.ablation_matrix ())
+    rows;
+  let row r = Jsonx.(Obj [ ("config", Str r.mr_config); ("overhead", Dec (6, r.mr_overhead)) ]) in
+  Jsonx.(
+    Obj
+      [ ("experiment", Str "ablate");
+        ("metric", Str "compilebench-read relative overhead (cntrfs/native) per config");
+        ("configs", List (List.map row rows)) ])
 
 let cache_sweep () =
   section "IOzone working-set vs page cache (§5.2.2: double buffering)";
-  List.iter
-    (fun pt ->
-      let open Repro_workloads.Experiments in
-      Printf.printf "  %-44s %6.2fx overhead\n%!" pt.cp_label pt.cp_overhead)
-    (Repro_workloads.Experiments.iozone_cache_sweep ());
+  let open Repro_workloads.Experiments in
+  let points = iozone_cache_sweep () in
+  List.iter (fun pt -> Printf.printf "  %-44s %6.2fx overhead\n%!" pt.cp_label pt.cp_overhead) points;
   Printf.printf
-    "the same file degrades through CntrFS one budget step earlier than\nnatively — the driver and the backing filesystem each cache a copy\n%!"
+    "the same file degrades through CntrFS one budget step earlier than\nnatively — the driver and the backing filesystem each cache a copy\n%!";
+  let point pt =
+    Jsonx.(
+      Obj
+        [ ("label", Str pt.cp_label); ("budget_mb", Int pt.cp_budget_mb);
+          ("overhead", Dec (6, pt.cp_overhead)) ])
+  in
+  Jsonx.(
+    Obj
+      [ ("experiment", Str "cache");
+        ("metric", Str "IOzone relative overhead (cntrfs/native) per page-cache budget");
+        ("points", List (List.map point points)) ])
 
 (* --- e3e: metadata fast path (extension) ----------------------------------------- *)
 
@@ -1601,11 +1628,11 @@ type runner = Report of (unit -> unit) | Table of (Jsonx.t -> string) * (unit ->
 let all =
   let table f = Table (Jsonx.to_string_table, f) in
   [ ("e1", true, Report e1); ("e2", true, table e2); ("e2a", true, table e2a);
-    ("e3", true, Report e3); ("e3e", true, table e3e); ("e4", true, table e4);
+    ("e3", true, table e3); ("e3e", true, table e3e); ("e4", true, table e4);
     ("e5", true, Report e5); ("e5r", false, table e5r); ("e6", true, Report e6);
     ("e7", true, Report e7); ("e8", true, table e8); ("e9", true, table e9);
     ("fleet", false, table fleet); ("smoke", false, Table (Jsonx.to_string, smoke));
-    ("ablate", true, Report ablate); ("cache", true, Report cache_sweep);
+    ("ablate", true, table ablate); ("cache", true, table cache_sweep);
     ("micro", true, Report micro) ]
 
 (* Runs one experiment; false when any of its gates failed.  A [Failure]

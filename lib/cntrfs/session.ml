@@ -54,6 +54,8 @@ let create ~kernel ~server_proc ~root_path ?(opts = Opts.cntr_default) ?(threads
   in
   conn.Conn.threads <- threads;
   conn.Conn.max_background <- opts.Opts.max_background;
+  conn.Conn.splice_read <- opts.Opts.splice_read;
+  conn.Conn.splice_write <- opts.Opts.splice_write;
   let metrics = Repro_obs.Obs.metrics obs in
   Repro_obs.Metrics.set
     (Repro_obs.Metrics.gauge metrics "cntrfs.server.threads")
@@ -108,7 +110,6 @@ let disarm t =
 
 let fs t = t.fs
 let obs t = Conn.obs t.conn
-let stats t = Conn.stats t.conn
 let fault t = t.fault
 
 (* Relaunch the CntrFS server after a crash: fork a replacement process

@@ -29,7 +29,9 @@ type t = {
     shares with the backing filesystems (double-buffering pressure).
     [conn] is the FUSE connection to serve — attach passes the one it
     opened on [/dev/fuse]; by default a fresh one is created ([sched] then
-    picks its scheduler).  Serving starts before [create] returns.
+    picks its scheduler).  [create] sets the connection's worker count,
+    background threshold and splice mode from [threads] and [opts].
+    Serving starts before [create] returns.
 
     [fault] arms a fault plan: the connection consults it while serving,
     and the kernel's backing syscalls consult it for the server's process
@@ -58,10 +60,6 @@ val fs : t -> Fsops.t
     here, plus the [cntrfs.server.threads] gauge and the queue metrics
     ([fuse.queue.depth.*], [fuse.inflight*], [cntrfs.worker.<i>.busy_ns]). *)
 val obs : t -> Repro_obs.Obs.t
-
-(** Protocol statistics: request counts by kind, bytes, splice usage.
-    A snapshot view over the registry on {!obs}. *)
-val stats : t -> Conn.stats
 
 (** The armed fault plane, when the session was created with one. *)
 val fault : t -> Repro_fault.Fault.t option

@@ -271,10 +271,11 @@ let report session =
   let metrics = Repro_obs.Obs.metrics (obs session) in
   let c name = Repro_obs.Metrics.counter_value metrics name in
   let g name = Repro_obs.Metrics.gauge_value metrics name in
-  let stats = Session.stats session.sn_cntrfs in
+  (* fuse.req.<op>.count of each opcode this session issued, busiest first *)
   let by_kind =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) stats.Conn.by_kind []
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
+    Conn.kinds session.sn_cntrfs.Session.conn
+    |> List.map (fun k -> (k, c ("fuse.req." ^ k ^ ".count")))
+    |> List.stable_sort (fun (_, a) (_, b) -> compare b a)
     |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
     |> String.concat " "
   in
@@ -312,10 +313,10 @@ let report session =
      queue: depth max %.0f mean %.2f, inflight %.0f (max %.0f), %d spurious wakeups\n\
      workers: %s\n\
      %skernel: %d syscalls, %d context switches\n"
-    stats.Conn.requests by_kind
-    (Size.to_string stats.Conn.bytes_to_server)
-    (Size.to_string stats.Conn.bytes_from_server)
-    (Size.to_string stats.Conn.spliced_bytes)
+    (c "fuse.req.count") by_kind
+    (Size.to_string (c "fuse.bytes.to_server"))
+    (Size.to_string (c "fuse.bytes.from_server"))
+    (Size.to_string (c "fuse.bytes.spliced"))
     hit_rate
     (c "vfs.page_cache.fuse.hits")
     (c "vfs.page_cache.fuse.misses")

@@ -33,19 +33,11 @@ module Metrics = Repro_obs.Metrics
 module Sched = Repro_sched.Sched
 module Fault = Repro_fault.Fault
 
-type stats = {
-  requests : int;
-  round_trips : int;
-  bytes_to_server : int;
-  bytes_from_server : int;
-  spliced_bytes : int;
-  by_kind : (string, int) Hashtbl.t;
-}
-
 (* Per-opcode counter handles, cached so the request path never does a
-   name lookup: count, bytes each way, the latency histogram, and the
-   opcode's trace span name. *)
+   name lookup: the opcode, its trace span name, count, bytes each way and
+   the latency histogram. *)
 type kind_metrics = {
+  km_kind : string;
   km_span : string;
   km_count : Metrics.counter;
   km_to : Metrics.counter;
@@ -54,14 +46,14 @@ type kind_metrics = {
 }
 
 (* An in-flight request: what the kernel queued for the server, plus the
-   reply ivar ([None] for one-way background messages). *)
+   reply ivar ([None] for one-way background messages) and, once awaited,
+   the reply itself. *)
 type item = {
   it_ctx : Protocol.ctx;
   it_req : Protocol.req;
-  it_splice : bool;
   mutable it_submit_ns : int64;
   it_reply : Protocol.resp Sched.ivar option;
-  it_kind : string;
+  mutable it_resp : Protocol.resp;
   it_km : kind_metrics;
 }
 
@@ -87,6 +79,12 @@ type t = {
   (* Congestion threshold for the background class (kernel default spirit:
      small); one-way submitters block while at or above it. *)
   mutable max_background : int;
+  (* The splice mode, set per mount: READ replies move by splice when
+     [splice_read], WRITE payloads when [splice_write]; every other request
+     copies.  Splice write also costs each awaited request one more context
+     switch. *)
+  mutable splice_read : bool;
+  mutable splice_write : bool;
   mutable serving : bool;
   (* the server crashed (fault plane or test hook): calls fail ENOTCONN
      immediately until [revive] *)
@@ -152,6 +150,8 @@ let create ?obs ?sched ~clock ~cost () =
     handler = None;
     threads = 4;
     max_background = 12;
+    splice_read = false;
+    splice_write = false;
     serving = false;
     dead = false;
     background = false;
@@ -202,6 +202,7 @@ let kind_metrics t kind =
       let key suffix = Printf.sprintf "fuse.req.%s.%s" kind suffix in
       let km =
         {
+          km_kind = kind;
           km_span = "fuse.req." ^ kind;
           km_count = Metrics.counter m (key "count");
           km_to = Metrics.counter m (key "bytes_to_server");
@@ -212,22 +213,9 @@ let kind_metrics t kind =
       Hashtbl.replace t.by_kind kind km;
       km
 
-(* Snapshot view over the registry counters.  [by_kind] covers the opcodes
-   this connection has issued (connections sharing one registry also share
-   the underlying counters). *)
-let stats t =
-  let by_kind = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun kind km -> Hashtbl.replace by_kind kind (Metrics.value km.km_count))
-    t.by_kind;
-  {
-    requests = Metrics.value t.m_requests;
-    round_trips = Metrics.value t.m_round_trips;
-    bytes_to_server = Metrics.value t.m_bytes_to;
-    bytes_from_server = Metrics.value t.m_bytes_from;
-    spliced_bytes = Metrics.value t.m_spliced;
-    by_kind;
-  }
+(* The opcodes this connection has issued (their counters live in the
+   registry, shared with any connection on the same one). *)
+let kinds t = Hashtbl.fold (fun kind _ acc -> kind :: acc) t.by_kind []
 
 let set_handler t h = t.handler <- Some h
 
@@ -244,11 +232,14 @@ let splice_note t bytes =
   (match t.m_splice_calls with Some c -> Metrics.incr c | None -> ());
   (match t.m_splice_bytes with Some c -> Metrics.add c bytes | None -> ())
 
-(* Transfer one payload leg between kernel and server.  Both regimes
-   charge through the shared Datapath model: splice pays setup + per-page
-   remap (the same price Kernel.splice and the proxy pay for a page),
-   copy pays the per-KiB double-buffer baseline. *)
-let transfer t km ~splice ~to_server bytes =
+(* Whether [req]'s payloads move by splice under the connection's mode. *)
+let splices t = function
+  | Protocol.Read _ -> t.splice_read
+  | Protocol.Write _ -> t.splice_write
+  | _ -> false
+
+(* Count one payload leg between kernel and server. *)
+let count_leg t km ~splice ~to_server bytes =
   if to_server then begin
     Metrics.add t.m_bytes_to bytes;
     Metrics.add km.km_to bytes
@@ -257,15 +248,20 @@ let transfer t km ~splice ~to_server bytes =
     Metrics.add t.m_bytes_from bytes;
     Metrics.add km.km_from bytes
   end;
+  Metrics.add (if splice then t.m_spliced else t.m_copied) bytes
+
+(* Transfer one payload leg of [item].  Both regimes charge through the
+   shared Datapath model: splice pays setup + per-page remap (the same
+   price Kernel.splice and the proxy pay for a page), copy pays the per-KiB
+   double-buffer baseline. *)
+let transfer t item ~to_server bytes =
+  let splice = splices t item.it_req in
+  count_leg t item.it_km ~splice ~to_server bytes;
   if splice then begin
     Clock.consume_int t.clock (Repro_os.Datapath.splice_ns t.cost bytes);
-    Metrics.add t.m_spliced bytes;
     splice_note t bytes
   end
-  else begin
-    Metrics.add t.m_copied bytes;
-    Clock.consume_int t.clock (Repro_os.Datapath.copy_ns t.cost bytes)
-  end
+  else Clock.consume_int t.clock (Repro_os.Datapath.copy_ns t.cost bytes)
 
 (* Resolve an item's reply with ENOTCONN (if anyone still waits for it) and
    drop its in-flight accounting — the crash path for queued requests. *)
@@ -303,7 +299,7 @@ let fault_action t item =
   | Some a -> Some a
   | None -> (
       match t.fault with
-      | Some f -> Fault.fuse_action f ~op:item.it_kind
+      | Some f -> Fault.fuse_action f ~op:item.it_km.km_kind
       | None -> None)
 
 (* Serve one dequeued request on the worker's timeline. *)
@@ -322,16 +318,14 @@ let process t w item =
       | _ -> ());
       (* the read(2) on /dev/fuse that returns this request to the server *)
       Clock.consume_int t.clock t.cost.Cost.syscall_ns;
-      transfer t item.it_km ~splice:item.it_splice ~to_server:true
-        (Protocol.req_payload_bytes item.it_req);
+      transfer t item ~to_server:true (Protocol.req_payload_bytes item.it_req);
       let handler = Option.get t.handler in
       let resp =
         match action with
         | Some (Fault.Fail e) -> Protocol.R_err e
         | _ -> handler item.it_ctx item.it_req
       in
-      transfer t item.it_km ~splice:item.it_splice ~to_server:false
-        (Protocol.resp_payload_bytes resp);
+      transfer t item ~to_server:false (Protocol.resp_payload_bytes resp);
       let fin = Clock.now_ns t.clock in
       Metrics.add w.w_busy (Int64.to_int (Int64.sub fin start));
       t.inflight <- t.inflight - 1;
@@ -348,8 +342,7 @@ let process t w item =
           | Some Fault.Duplicate_reply ->
               (* second copy of the reply crosses the wire and is discarded *)
               if not (Sched.is_filled iv) then Sched.fill t.sched iv resp;
-              transfer t item.it_km ~splice:item.it_splice ~to_server:false
-                (Protocol.resp_payload_bytes resp)
+              transfer t item ~to_server:false (Protocol.resp_payload_bytes resp)
           | _ ->
               (* guarded: a deadline timer may have resolved this call *)
               if not (Sched.is_filled iv) then Sched.fill t.sched iv resp)
@@ -565,7 +558,7 @@ let start_serving t =
 
 (* --- submission ------------------------------------------------------------- *)
 
-(* Place each item on one worker's local deque and wake that worker alone.
+(* Place one item on one worker's local deque and wake that worker alone.
    Targeting prefers the most recently parked worker (its wake is the
    cheapest — warmest state, shortest stack pop), falling back to a
    round-robin spread once nobody is parked; imbalance left by round-robin
@@ -573,36 +566,47 @@ let start_serving t =
    and one try_to_wake_up when the target was actually parked — there is no
    herd to walk, so the per-submission cost no longer grows with the number
    of idle server threads (the old Figure 4 penalty). *)
+let enqueue_one t item =
+  let wid, _was_parked =
+    (* expected-service estimate for the placement score: the wake is
+       one context switch; a served item costs about its two /dev/fuse
+       crossings plus dispatch *)
+    Sched.Ws.submit_target t.pool ~now:(Clock.now_ns t.clock)
+      ~wake_ns:t.cost.Cost.context_switch_ns
+      ~item_ns:(t.cost.Cost.context_switch_ns + (2 * t.cost.Cost.syscall_ns))
+  in
+  let w = t.workers.(wid) in
+  Sched.lock t.sched w.w_lock;
+  Clock.consume_int t.clock t.cost.Cost.queue_lock_ns;
+  Sched.Ws.push t.pool wid item;
+  t.inflight <- t.inflight + 1;
+  let d = Sched.Ws.depth t.pool wid in
+  if d > w.w_hiwat then begin
+    w.w_hiwat <- d;
+    Metrics.set w.w_depth (float_of_int d)
+  end;
+  (* The single targeted try_to_wake_up is the handoff itself — its cost
+     is the wakee's context switch, charged when the worker resumes (the
+     same convention the old wake-walk used for the first waiter).  The
+     herd's per-extra-waiter [wakeup_ns] tax is gone because the herd is
+     gone. *)
+  item.it_submit_ns <- Clock.now_ns t.clock;
+  ignore (Sched.signal t.sched w.w_cond);
+  Sched.unlock t.sched w.w_lock
+
+(* The item loops below are plain recursions, so the single-request path
+   allocates no closure. *)
+let rec enqueue_each t = function
+  | [] -> ()
+  | it :: rest ->
+      enqueue_one t it;
+      enqueue_each t rest
+
+(* One submission: one round trip, each item placed in turn, and one
+   sample of the queue and in-flight gauges. *)
 let enqueue t items =
-  List.iter
-    (fun item ->
-      let wid, _was_parked =
-        (* expected-service estimate for the placement score: the wake is
-           one context switch; a served item costs about its two /dev/fuse
-           crossings plus dispatch *)
-        Sched.Ws.submit_target t.pool ~now:(Clock.now_ns t.clock)
-          ~wake_ns:t.cost.Cost.context_switch_ns
-          ~item_ns:(t.cost.Cost.context_switch_ns + (2 * t.cost.Cost.syscall_ns))
-      in
-      let w = t.workers.(wid) in
-      Sched.lock t.sched w.w_lock;
-      Clock.consume_int t.clock t.cost.Cost.queue_lock_ns;
-      Sched.Ws.push t.pool wid item;
-      t.inflight <- t.inflight + 1;
-      let d = Sched.Ws.depth t.pool wid in
-      if d > w.w_hiwat then begin
-        w.w_hiwat <- d;
-        Metrics.set w.w_depth (float_of_int d)
-      end;
-      (* The single targeted try_to_wake_up is the handoff itself — its
-         cost is the wakee's context switch, charged when the worker
-         resumes (the same convention the old wake-walk used for the first
-         waiter).  The herd's per-extra-waiter [wakeup_ns] tax is gone
-         because the herd is gone. *)
-      item.it_submit_ns <- Clock.now_ns t.clock;
-      ignore (Sched.signal t.sched w.w_cond);
-      Sched.unlock t.sched w.w_lock)
-    items;
+  Metrics.incr t.m_round_trips;
+  enqueue_each t items;
   let depth = Sched.Ws.queued t.pool in
   if depth > t.qdepth_max then begin
     t.qdepth_max <- depth;
@@ -616,46 +620,37 @@ let enqueue t items =
   end;
   Metrics.set t.m_inflight (float_of_int t.inflight)
 
-let item t ?reply ~splice ctx req =
-  let kind = Protocol.req_kind req in
-  let km = kind_metrics t kind in
+(* Count one request under its opcode. *)
+let count_request t req =
+  let km = kind_metrics t (Protocol.req_kind req) in
   Metrics.incr t.m_requests;
   Metrics.incr km.km_count;
+  km
+
+let item t ?reply ctx req =
   {
     it_ctx = ctx;
     it_req = req;
-    it_splice = splice;
     it_submit_ns = Clock.now_ns t.clock;
     it_reply = reply;
-    it_kind = kind;
-    it_km = km;
+    it_resp = Protocol.R_ok;
+    it_km = count_request t req;
   }
 
 (* Inline bypass while the driver flushes its writeback cache "for free":
    background dirty-page flushing happens on kernel threads whose time the
    foreground workload never observes.  Counters still record the traffic. *)
-let call_background t ~splice ctx req =
-  let handler = Option.get t.handler in
-  let kind = Protocol.req_kind req in
-  let km = kind_metrics t kind in
-  Metrics.incr t.m_requests;
-  Metrics.incr km.km_count;
+let call_background t ctx req =
+  let km = count_request t req in
   Metrics.incr t.m_round_trips;
   Metrics.add t.m_ctx_switches 2;
+  let splice = splices t req in
   let out_bytes = Protocol.req_payload_bytes req in
-  Metrics.add t.m_bytes_to out_bytes;
-  Metrics.add km.km_to out_bytes;
-  let in_bytes, resp =
-    let resp = handler ctx req in
-    (Protocol.resp_payload_bytes resp, resp)
-  in
-  Metrics.add t.m_bytes_from in_bytes;
-  Metrics.add km.km_from in_bytes;
-  if splice then begin
-    Metrics.add t.m_spliced (out_bytes + in_bytes);
-    splice_note t (out_bytes + in_bytes)
-  end
-  else Metrics.add t.m_copied (out_bytes + in_bytes);
+  count_leg t km ~splice ~to_server:true out_bytes;
+  let resp = (Option.get t.handler) ctx req in
+  let in_bytes = Protocol.resp_payload_bytes resp in
+  count_leg t km ~splice ~to_server:false in_bytes;
+  if splice then splice_note t (out_bytes + in_bytes);
   resp
 
 (* Arm supervision: a fault plane to consult while serving, and/or a
@@ -671,12 +666,6 @@ let supervise t ?fault ?retry () =
     t.m_timeouts <- Some (Metrics.counter m "fuse.timeouts")
   end
 
-let supervised t =
-  t.fault <> None
-  || t.retry.Fault.deadline_ns > 0
-  || t.retry.Fault.max_retries > 0
-  || not (Queue.is_empty t.forced)
-
 (* Test hooks: make the next served request hit [action], without arming a
    plan ([Attach.hang_server]), or kill the server right now
    ([Attach.crash_server]). *)
@@ -685,167 +674,141 @@ let inject_crash t = crash t
 
 let incr_opt = function Some c -> Metrics.incr c | None -> ()
 
-(* One round trip under supervision: the reply ivar races a deadline timer
-   fiber (losing resolves it to ETIMEDOUT), and timed-out / transient
-   replies to idempotent opcodes are retried with exponential backoff.
-   Late replies from the worker find the ivar filled and are discarded. *)
-let supervised_call t ~splice ctx req =
-  let retry = t.retry in
-  let idem = Protocol.idempotent req in
-  let rec attempt n backoff =
-    if not t.serving then Protocol.R_err Errno.ENOTCONN
-    else begin
-      ensure_workers t;
-      let begin_ns = Clock.now_ns t.clock in
-      let reply = Sched.ivar () in
-      let it = item t ~reply ~splice ctx req in
-      Metrics.incr t.m_round_trips;
-      enqueue t [ it ];
-      if retry.Fault.deadline_ns > 0 then
-        ignore
-          (Sched.spawn t.sched (fun () ->
-               Sched.sleep_ns t.sched retry.Fault.deadline_ns;
-               if not (Sched.is_filled reply) then begin
-                 incr_opt t.m_timeouts;
-                 Sched.fill t.sched reply (Protocol.R_err Errno.ETIMEDOUT)
-               end));
-      let resp = Sched.read t.sched reply in
-      Clock.consume_int t.clock t.cost.Cost.context_switch_ns;
-      Metrics.incr t.m_ctx_switches;
-      let end_ns = Clock.now_ns t.clock in
-      Metrics.observe_ns it.it_km.km_latency (Int64.to_int (Int64.sub end_ns begin_ns));
-      Repro_obs.Trace.record
-        (Repro_obs.Obs.tracer t.obs)
-        ~name:it.it_km.km_span
-        ~begin_ns ~end_ns ();
-      match resp with
-      | Protocol.R_err (Errno.ETIMEDOUT | Errno.EINTR | Errno.ENOMEM)
-        when idem && n < retry.Fault.max_retries ->
-          incr_opt t.m_retries;
-          Sched.sleep_ns t.sched backoff;
-          attempt (n + 1) (backoff * retry.Fault.backoff_mult)
-      | resp -> resp
-    end
-  in
-  attempt 0 (max retry.Fault.backoff_ns 1)
+(* Splice write examines each request's header in a pipe before reading
+   the payload (§3.3): one more context switch for every request whose
+   reply the submitter awaits, priced by the shared Datapath model. *)
+let splice_write_switches t n =
+  if t.splice_write then begin
+    Metrics.add t.m_ctx_switches n;
+    Clock.consume_int t.clock (n * Repro_os.Datapath.splice_write_switch_ns t.cost)
+  end
 
-(* Issue one request and wait for the reply: one round trip.  The submitter
-   pays the queue append and the herd wake; the worker pays dispatch,
-   transfer and service on its own timeline; resuming the submitter costs
-   one context switch.  (The wake-side switch is charged by the worker when
-   it actually parks — pipelined workers skip it.) *)
-let call t ?(splice = false) ctx req =
-  match t.handler with
-  | None -> Protocol.R_err Errno.ENOTCONN
-  | Some _ ->
-      if not t.serving then Protocol.R_err Errno.ENOTCONN
-      else if t.background then call_background t ~splice ctx req
-      else if supervised t then supervised_call t ~splice ctx req
+(* Under a deadline the reply races a timer fiber; losing resolves it to
+   ETIMEDOUT, and the late reply from the worker finds it filled. *)
+let arm_deadline t ns it =
+  let reply = Option.get it.it_reply in
+  ignore
+    (Sched.spawn t.sched (fun () ->
+         Sched.sleep_ns t.sched ns;
+         if not (Sched.is_filled reply) then begin
+           incr_opt t.m_timeouts;
+           Sched.fill t.sched reply (Protocol.R_err Errno.ETIMEDOUT)
+         end))
+
+(* Read each item's reply, in submission order. *)
+let rec await_each t = function
+  | [] -> ()
+  | it :: rest ->
+      it.it_resp <- Sched.read t.sched (Option.get it.it_reply);
+      await_each t rest
+
+(* One latency sample and one span per item, all over the same interval. *)
+let rec record_each t ~begin_ns ~end_ns = function
+  | [] -> ()
+  | it :: rest ->
+      Metrics.observe_ns it.it_km.km_latency (Int64.to_int (Int64.sub end_ns begin_ns));
+      Repro_obs.Trace.record (Repro_obs.Obs.tracer t.obs) ~name:it.it_km.km_span ~begin_ns
+        ~end_ns ();
+      record_each t ~begin_ns ~end_ns rest
+
+(* The one round trip: [items] leave as one submission and the submitter
+   waits for every reply.  It pays the queue appends and the targeted
+   wakes; the workers pay dispatch, transfer and service on their own
+   timelines (the wake-side switch is charged by a worker when it actually
+   parked — pipelined workers skip it); resuming the submitter costs one
+   context switch however many items there are. *)
+let submit_await t items =
+  ensure_workers t;
+  let begin_ns = Clock.now_ns t.clock in
+  enqueue t items;
+  let deadline = t.retry.Fault.deadline_ns in
+  if deadline > 0 then List.iter (arm_deadline t deadline) items;
+  await_each t items;
+  (* switch back onto the submitter's CPU *)
+  Clock.consume_int t.clock t.cost.Cost.context_switch_ns;
+  Metrics.incr t.m_ctx_switches;
+  record_each t ~begin_ns ~end_ns:(Clock.now_ns t.clock) items
+
+(* One request through the retry loop: a transient failure (ETIMEDOUT,
+   EINTR, ENOMEM) of an idempotent opcode is retried with exponential
+   backoff, up to [retry.max_retries] times — a single pass when off. *)
+let rec attempt t ctx req n backoff =
+  if not t.serving then Protocol.R_err Errno.ENOTCONN
+  else begin
+    let it = item t ~reply:(Sched.ivar ()) ctx req in
+    submit_await t [ it ];
+    match it.it_resp with
+    | Protocol.R_err (Errno.ETIMEDOUT | Errno.EINTR | Errno.ENOMEM)
+      when n < t.retry.Fault.max_retries && Protocol.idempotent req ->
+        incr_opt t.m_retries;
+        Sched.sleep_ns t.sched backoff;
+        attempt t ctx req (n + 1) (backoff * t.retry.Fault.backoff_mult)
+    | resp -> resp
+  end
+
+let retried t ctx req = attempt t ctx req 0 (max t.retry.Fault.backoff_ns 1)
+let connected t = Option.is_some t.handler && t.serving
+
+(* Issue one request and wait for the reply: one round trip. *)
+let call t ctx req =
+  splice_write_switches t 1;
+  if not (connected t) then Protocol.R_err Errno.ENOTCONN
+  else if t.background then call_background t ctx req
+  else retried t ctx req
+
+(* A group runs member by member, each in its own deadline and retry
+   bracket, whenever supervision is armed. *)
+let supervised t =
+  t.fault <> None
+  || t.retry.Fault.deadline_ns > 0
+  || t.retry.Fault.max_retries > 0
+  || not (Queue.is_empty t.forced)
+
+(* Issue several requests as one submission (async reads): one round trip,
+   one resume — and the members can be served by different workers in
+   parallel. *)
+let call_group t ctx = function
+  | [] -> []
+  | reqs ->
+      splice_write_switches t (List.length reqs);
+      if not (connected t) then List.map (fun _ -> Protocol.R_err Errno.ENOTCONN) reqs
+      else if t.background then List.map (call_background t ctx) reqs
+      else if supervised t then List.map (retried t ctx) reqs
       else begin
-        ensure_workers t;
-        let begin_ns = Clock.now_ns t.clock in
-        let reply = Sched.ivar () in
-        let it = item t ~reply ~splice ctx req in
-        Metrics.incr t.m_round_trips;
-        enqueue t [ it ];
-        let resp = Sched.read t.sched reply in
-        (* switch back onto the submitter's CPU *)
-        Clock.consume_int t.clock t.cost.Cost.context_switch_ns;
-        Metrics.incr t.m_ctx_switches;
-        let end_ns = Clock.now_ns t.clock in
-        Metrics.observe_ns it.it_km.km_latency (Int64.to_int (Int64.sub end_ns begin_ns));
-        Repro_obs.Trace.record
-          (Repro_obs.Obs.tracer t.obs)
-          ~name:it.it_km.km_span
-          ~begin_ns ~end_ns ();
-        resp
+        let items = List.map (fun req -> item t ~reply:(Sched.ivar ()) ctx req) reqs in
+        submit_await t items;
+        List.map (fun it -> it.it_resp) items
       end
 
-(* Issue several requests as one submission (async reads, READDIRPLUS
-   prefetch): one round trip, one queue append, one herd wake, one resume —
-   and the members can be served by different workers in parallel. *)
-let call_group t ?(splice = false) ctx reqs =
-  match reqs with
-  | [] -> []
-  | [ req ] -> [ call t ~splice ctx req ]
-  | reqs -> (
-      match t.handler with
-      | None -> List.map (fun _ -> Protocol.R_err Errno.ENOTCONN) reqs
-      | Some _ ->
-          if not t.serving then List.map (fun _ -> Protocol.R_err Errno.ENOTCONN) reqs
-          else if t.background then List.map (call_background t ~splice ctx) reqs
-          else if supervised t then
-            (* under supervision each member needs its own deadline/retry
-               bracket, so the batch degrades to sequential round trips *)
-            List.map (supervised_call t ~splice ctx) reqs
-          else begin
-            ensure_workers t;
-            let begin_ns = Clock.now_ns t.clock in
-            let items =
-              List.map
-                (fun req ->
-                  let reply = Sched.ivar () in
-                  (item t ~reply ~splice ctx req, reply))
-                reqs
-            in
-            Metrics.incr t.m_round_trips;
-            enqueue t (List.map fst items);
-            let resps = List.map (fun (_, reply) -> Sched.read t.sched reply) items in
-            Clock.consume_int t.clock t.cost.Cost.context_switch_ns;
-            Metrics.incr t.m_ctx_switches;
-            let end_ns = Clock.now_ns t.clock in
-            List.iter
-              (fun (it, _) ->
-                Metrics.observe_ns it.it_km.km_latency
-                  (Int64.to_int (Int64.sub end_ns begin_ns));
-                Repro_obs.Trace.record
-                  (Repro_obs.Obs.tracer t.obs)
-                  ~name:it.it_km.km_span
-                  ~begin_ns ~end_ns ())
-              items;
-            resps
-          end)
+(* Block until [ready ()]: a task parks on [bg_cond], which every
+   completion broadcasts; the main fiber drives the scheduler instead. *)
+let wait_until t ready =
+  if Sched.in_task () then
+    while not (ready ()) do
+      Sched.lock t.sched t.bg_lock;
+      if not (ready ()) then Sched.wait t.sched t.bg_cond t.bg_lock;
+      Sched.unlock t.sched t.bg_lock
+    done
+  else if not (ready ()) then Sched.drive_main t.sched ready
 
 (* One-way message (FORGET, RELEASE): queued and answered by nobody.  The
    submitter does not wait for service, but the background class is bounded
    by [max_background] — at the threshold the submitter blocks until the
    pool drains (congestion backpressure). *)
-let post t ?(splice = false) ctx req =
-  match t.handler with
-  | None -> ()
-  | Some _ ->
-      if not t.serving then ()
-      else if t.background then ignore (call_background t ~splice ctx req)
-      else begin
-        ensure_workers t;
-        let rec throttle () =
-          if t.bg_inflight >= t.max_background then
-            if Sched.in_task () then begin
-              Sched.lock t.sched t.bg_lock;
-              if t.bg_inflight >= t.max_background then
-                Sched.wait t.sched t.bg_cond t.bg_lock;
-              Sched.unlock t.sched t.bg_lock;
-              throttle ()
-            end
-            else Sched.drive_main t.sched (fun () -> t.bg_inflight < t.max_background)
-        in
-        throttle ();
-        t.bg_inflight <- t.bg_inflight + 1;
-        let it = item t ~splice ctx req in
-        Metrics.incr t.m_round_trips;
-        enqueue t [ it ]
-      end
+let post t ctx req =
+  if connected t then
+    if t.background then ignore (call_background t ctx req)
+    else begin
+      ensure_workers t;
+      wait_until t (fun () -> t.bg_inflight < t.max_background);
+      t.bg_inflight <- t.bg_inflight + 1;
+      enqueue t [ item t ctx req ]
+    end
 
 (* Block until every queued and in-service request has completed (unmount /
    teardown barrier). *)
 let quiesce t =
   if t.inflight > 0 then begin
     ensure_workers t;
-    if Sched.in_task () then
-      while t.inflight > 0 do
-        Sched.lock t.sched t.bg_lock;
-        if t.inflight > 0 then Sched.wait t.sched t.bg_cond t.bg_lock;
-        Sched.unlock t.sched t.bg_lock
-      done
-    else Sched.drive_main t.sched (fun () -> t.inflight = 0)
+    wait_until t (fun () -> t.inflight = 0)
   end

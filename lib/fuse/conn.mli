@@ -27,17 +27,6 @@
 
 open Repro_util
 
-(** Immutable snapshot of the connection's registry counters, built by
-    {!stats}; [by_kind] is a fresh table of per-opcode request counts. *)
-type stats = {
-  requests : int;
-  round_trips : int;
-  bytes_to_server : int;
-  bytes_from_server : int;
-  spliced_bytes : int;
-  by_kind : (string, int) Hashtbl.t;
-}
-
 (** Per-opcode counter handles cached on the connection. *)
 type kind_metrics
 
@@ -55,6 +44,10 @@ type t = {
   mutable threads : int;  (** server worker threads (Figure 4) *)
   mutable max_background : int;
       (** congestion threshold for the one-way background class *)
+  mutable splice_read : bool;  (** READ payloads move by splice *)
+  mutable splice_write : bool;
+      (** WRITE payloads move by splice, and every awaited request pays one
+          more context switch; all other requests copy *)
   mutable serving : bool;
   mutable dead : bool;
       (** the server crashed; calls fail [ENOTCONN] until {!revive} *)
@@ -114,8 +107,9 @@ val create :
 val obs : t -> Repro_obs.Obs.t
 val sched : t -> Repro_sched.Sched.t
 
-(** Fresh snapshot of the registry counters. *)
-val stats : t -> stats
+(** The opcodes this connection has issued; their [fuse.req.<op>.*]
+    counters are in the registry on {!obs}. *)
+val kinds : t -> string list
 
 (** Install the server's request handler. *)
 val set_handler : t -> (Protocol.ctx -> Protocol.req -> Protocol.resp) -> unit
@@ -128,7 +122,7 @@ val start_serving : t -> unit
 (** Arm supervision on a live connection: a fault plane consulted while
     serving, and/or a per-request deadline + retry policy.  Creates the
     [fuse.retries] / [fuse.timeouts] counters (only armed sessions touch
-    the registry — the plane is zero-cost when off). *)
+    the registry). *)
 val supervise :
   t -> ?fault:Repro_fault.Fault.t -> ?retry:Repro_fault.Fault.retry -> unit -> unit
 
@@ -144,22 +138,22 @@ val inject_crash : t -> unit
     a fresh handler installed; the parked worker pool is reused. *)
 val revive : t -> unit
 
-(** Issue one request and wait for the reply: exactly one round trip.
-    [splice] moves payloads by page remapping instead of copying.  Under
-    supervision the reply races the deadline timer and idempotent opcodes
-    are retried on [ETIMEDOUT]/[EINTR]/[ENOMEM]. *)
-val call : t -> ?splice:bool -> Protocol.ctx -> Protocol.req -> Protocol.resp
+(** Issue one request and wait for the reply: one round trip per attempt.
+    Payloads move as the splice mode says.  Under a deadline the reply
+    races a timer, and idempotent opcodes are retried on
+    [ETIMEDOUT]/[EINTR]/[ENOMEM] as the retry policy allows. *)
+val call : t -> Protocol.ctx -> Protocol.req -> Protocol.resp
 
 (** Issue several requests as one submission (async reads): one round trip,
-    one wake, one resume; members may be served by different workers in
-    parallel.  Replies are returned in request order. *)
-val call_group :
-  t -> ?splice:bool -> Protocol.ctx -> Protocol.req list -> Protocol.resp list
+    one resume; members may be served by different workers in parallel.
+    Under supervision the members run one by one, each as a {!call}.
+    Replies are returned in request order. *)
+val call_group : t -> Protocol.ctx -> Protocol.req list -> Protocol.resp list
 
-(** One-way message (FORGET, RELEASE): queued without waiting for service.
-    Counts toward [max_background]; at the threshold the submitter blocks
-    until the background class drains. *)
-val post : t -> ?splice:bool -> Protocol.ctx -> Protocol.req -> unit
+(** One-way message (FORGET, RELEASE): queued without waiting for service,
+    so it pays no splice-write switch.  Counts toward [max_background]; at
+    the threshold the submitter blocks until the background class drains. *)
+val post : t -> Protocol.ctx -> Protocol.req -> unit
 
 (** Block until every queued and in-service request has completed. *)
 val quiesce : t -> unit

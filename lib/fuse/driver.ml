@@ -77,6 +77,7 @@ type t = {
   m_neg_hits : Repro_obs.Metrics.counter;
   m_rdp_entries : Repro_obs.Metrics.counter;
   m_xattr_neg_hits : Repro_obs.Metrics.counter;
+  m_ctx_switches : Repro_obs.Metrics.counter; (* contended dirop locks *)
   pt : pt_counters option; (* Some iff opts.passthrough > 0 *)
 }
 
@@ -87,15 +88,8 @@ let page_size t = t.cost.Cost.page_size
 let ctx_of (cred : Types.cred) =
   { Protocol.c_uid = cred.Types.uid; c_gid = cred.Types.gid; c_pid = 0 }
 
-(* One request round trip.  Splice write mode costs an extra context switch
-   on *every* request (the header must be examined in a pipe first); the
-   price comes from the shared Datapath model. *)
-let rt t ?(splice = false) ctx req =
-  if t.opts.Opts.splice_write then begin
-    Repro_obs.Metrics.incr t.conn.Conn.m_ctx_switches;
-    Clock.consume_int t.clock (Repro_os.Datapath.splice_write_switch_ns t.cost)
-  end;
-  Protocol.err_of_resp (Conn.call t.conn ~splice ctx req)
+(* One request round trip. *)
+let rt t ctx req = Protocol.err_of_resp (Conn.call t.conn ctx req)
 
 (* Serialized directory operations: without FUSE_PARALLEL_DIROPS the
    kernel holds the directory's i_mutex across the operation, round trips
@@ -120,7 +114,7 @@ let dirop_lock t m =
   let t0 = Clock.now_ns t.clock in
   Repro_sched.Sched.lock t.sched m;
   if Int64.compare (Clock.now_ns t.clock) t0 > 0 then begin
-    Repro_obs.Metrics.incr t.conn.Conn.m_ctx_switches;
+    Repro_obs.Metrics.incr t.m_ctx_switches;
     Clock.consume_int t.clock t.cost.Cost.context_switch_ns
   end
 
@@ -302,6 +296,38 @@ let get_page_bytes t ino page =
       Hashtbl.replace t.pdata (ino, page) b;
       b
 
+(* Install [data], read from page [first] of [ino] on, as [count] clean
+   cached pages — but never clobber pages already cached (they may hold
+   dirty data newer than the server's or the backing file's copy). *)
+let install_pages t ~ino ~first ~count data =
+  let ps = page_size t in
+  for p = 0 to count - 1 do
+    if not (Page_cache.mem t.pcache ~ino ~page:(first + p)) then begin
+      let b = Bytes.make ps '\000' in
+      let src_off = p * ps in
+      if src_off < String.length data then
+        Bytes.blit_string data src_off b 0 (min ps (String.length data - src_off));
+      Hashtbl.replace t.pdata (ino, first + p) b;
+      ignore (Page_cache.touch t.pcache ~ino ~page:(first + p) ~dirty:false)
+    end
+  done
+
+(* Keep cached pages coherent with a write that bypassed the page cache:
+   patch every cached page over file range [off + pos, off + pos + n) with
+   the matching bytes of [data], whose first byte sits at file offset
+   [off]. *)
+let patch_cached_pages t ~ino ~off data ~pos ~n =
+  let ps = page_size t in
+  let lo = off + pos and hi = off + pos + n in
+  for page = lo / ps to (hi - 1) / ps do
+    match Hashtbl.find_opt t.pdata (ino, page) with
+    | Some b ->
+        let pstart = page * ps in
+        let s = max lo pstart and e = min hi (pstart + ps) in
+        Bytes.blit_string data (s - off) b (s - pstart) (e - s)
+    | None -> ()
+  done
+
 (* Fetch pages [first..last] of [ino] from the server via READ requests
    and install them in the cache.  With async_read the chunks are submitted
    [read_batch] at a time as one queued group — one round trip, and a
@@ -309,22 +335,6 @@ let get_page_bytes t ino page =
 let fetch_pages t ctx ~server_fh ~ino ~first ~last =
   let ps = page_size t in
   let pages_per_req = max 1 (t.opts.Opts.max_read / ps) in
-  (* install one chunk's page data — but never clobber pages already cached
-     (they may hold dirty data newer than the server's copy) *)
-  let install page chunk_pages data =
-    for p = 0 to chunk_pages - 1 do
-      if not (Page_cache.mem t.pcache ~ino ~page:(page + p)) then begin
-        let b = Bytes.make ps '\000' in
-        let src_off = p * ps in
-        if src_off < String.length data then begin
-          let n = min ps (String.length data - src_off) in
-          Bytes.blit_string data src_off b 0 n
-        end;
-        Hashtbl.replace t.pdata (ino, page + p) b;
-        ignore (Page_cache.touch t.pcache ~ino ~page:(page + p) ~dirty:false)
-      end
-    done
-  in
   let rec chunks page acc =
     if page > last then List.rev acc
     else
@@ -339,30 +349,24 @@ let fetch_pages t ctx ~server_fh ~ino ~first ~last =
         (x :: hd, rest)
     | l -> ([], l)
   in
-  let splice = t.opts.Opts.splice_read in
   let rec fetch_groups = function
     | [] -> Ok ()
     | pending ->
         let group, rest = take group_size pending in
-        if t.opts.Opts.splice_write then begin
-          Repro_obs.Metrics.add t.conn.Conn.m_ctx_switches (List.length group);
-          Clock.consume_int t.clock
-            (List.length group * Repro_os.Datapath.splice_write_switch_ns t.cost)
-        end;
         let reqs =
           List.map
             (fun (page, chunk_pages) ->
               Protocol.Read { fh = server_fh; off = page * ps; len = chunk_pages * ps })
             group
         in
-        let resps = Conn.call_group t.conn ~splice ctx reqs in
+        let resps = Conn.call_group t.conn ctx reqs in
         let* () =
           List.fold_left2
             (fun acc (page, chunk_pages) resp ->
               let* () = acc in
               match Protocol.err_of_resp resp with
               | Ok (Protocol.R_data d) ->
-                  install page chunk_pages d;
+                  install_pages t ~ino ~first:page ~count:chunk_pages d;
                   Ok ()
               | Ok _ -> Error Errno.EIO
               | Error e -> Error e)
@@ -409,9 +413,7 @@ let install_flush_hook t =
                   | None -> Buffer.add_string buf (String.make ps '\000')
                 done;
                 let data = Buffer.sub buf 0 len in
-                ignore
-                  (rt t ~splice:t.opts.Opts.splice_write Protocol.root_ctx
-                     (Protocol.Write { fh; off; data }))
+                ignore (rt t Protocol.root_ctx (Protocol.Write { fh; off; data }))
               end;
               send (page + n) (remaining - n)
             end
@@ -492,6 +494,7 @@ let create ~conn ~opts ~budget =
       m_neg_hits = Repro_obs.Metrics.counter metrics "fuse.dentry.negative_hits";
       m_rdp_entries = Repro_obs.Metrics.counter metrics "fuse.readdirplus.entries";
       m_xattr_neg_hits = Repro_obs.Metrics.counter metrics "fuse.xattr.negative_hits";
+      m_ctx_switches = Repro_obs.Metrics.counter metrics "os.context_switches";
       pt =
         (if opts.Opts.passthrough > 0 then
            Some
@@ -888,9 +891,8 @@ let pt_read t h g ~off ~len =
 (* Passthrough page fill: the grant reads the miss run straight out of the
    backing VFS and installs the pages — no FUSE round trip, no server
    worker wakeup.  The backing I/O is charged on the server's proc inside
-   the grant; installing into the cache is one memcpy.  Pages already
-   cached are never clobbered (they may hold dirty data newer than the
-   backing copy — same rule as [fetch_pages]). *)
+   the grant; installing into the cache ([install_pages], as for
+   [fetch_pages]) is one memcpy. *)
 let pt_fetch_pages t g ~ino ~first ~last =
   let ps = page_size t in
   match g.Protocol.g_read ~off:(first * ps) ~len:((last - first + 1) * ps) with
@@ -898,18 +900,7 @@ let pt_fetch_pages t g ~ino ~first ~last =
   | Ok data ->
       pt_incr t (fun c -> c.ptm_reads);
       Clock.consume_int t.clock (Cost.mem_cost t.cost (String.length data));
-      for p = 0 to last - first do
-        if not (Page_cache.mem t.pcache ~ino ~page:(first + p)) then begin
-          let b = Bytes.make ps '\000' in
-          let src_off = p * ps in
-          if src_off < String.length data then begin
-            let n = min ps (String.length data - src_off) in
-            Bytes.blit_string data src_off b 0 n
-          end;
-          Hashtbl.replace t.pdata (ino, first + p) b;
-          ignore (Page_cache.touch t.pcache ~ino ~page:(first + p) ~dirty:false)
-        end
-      done;
+      install_pages t ~ino ~first ~count:(last - first + 1) data;
       Ok ()
 
 let read t fh ~off ~len =
@@ -940,7 +931,7 @@ let read t fh ~off ~len =
       if pos >= len then Ok ()
       else
         let* resp =
-          rt t ~splice:t.opts.Opts.splice_read (ctx_of Types.root_cred)
+          rt t (ctx_of Types.root_cred)
             (Protocol.Read { fh = h.dh_server_fh; off = off + pos; len = min chunk (len - pos) })
         in
         match resp with
@@ -1097,19 +1088,7 @@ let write t cred fh ~off data =
         match g.Protocol.g_write (ctx_of cred) ~off data with
         | Ok n ->
             pt_incr t (fun c -> c.ptm_writes);
-            if n > 0 then begin
-              let ps = page_size t in
-              let first = off / ps and last = (off + n - 1) / ps in
-              for page = first to last do
-                if Hashtbl.mem t.pdata (ino, page) then begin
-                  let b = get_page_bytes t ino page in
-                  let pstart = page * ps in
-                  let s = max off pstart in
-                  let e = min (off + n) (pstart + ps) in
-                  Bytes.blit_string data (s - off) b (s - pstart) (e - s)
-                end
-              done
-            end;
+            patch_cached_pages t ~ino ~off data ~pos:0 ~n;
             update_local_attr ~new_size:(off + n);
             Ok n
         | Error e -> Error e)
@@ -1177,24 +1156,13 @@ let write t cred fh ~off data =
         else begin
           let n = min t.opts.Opts.max_write (len - pos) in
           let* resp =
-            rt t ~splice:t.opts.Opts.splice_write (ctx_of cred)
+            rt t (ctx_of cred)
               (Protocol.Write
                  { fh = h.dh_server_fh; off = off + pos; data = String.sub data pos n })
           in
           match resp with
           | Protocol.R_written _ ->
-              (* keep cached pages coherent *)
-              let ps = page_size t in
-              let first = (off + pos) / ps and last = (off + pos + n - 1) / ps in
-              for page = first to last do
-                if Hashtbl.mem t.pdata (ino, page) then begin
-                  let b = get_page_bytes t ino page in
-                  let pstart = page * ps in
-                  let s = max (off + pos) pstart in
-                  let e = min (off + pos + n) (pstart + ps) in
-                  Bytes.blit_string data (s - off) b (s - pstart) (e - s)
-                end
-              done;
+              patch_cached_pages t ~ino ~off data ~pos ~n;
               update_local_attr ~new_size:(off + pos + n);
               send (pos + n)
           | _ -> Error Errno.EIO

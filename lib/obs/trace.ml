@@ -1,9 +1,9 @@
 (* Span-based tracing on the virtual clock.  Instrumentation sites record
-   (begin, end, attrs) events; the tracer retains the most recent
-   [capacity] spans in a ring buffer and optionally forwards every span to
-   a pluggable sink — in-memory for tests, JSON-lines for bench/ exports.
-   Timestamps are supplied by the caller (its layer's virtual clock), so
-   the tracer itself holds no clock and recording is deterministic. *)
+   (begin, end, attrs) events; the tracer counts them and forwards each to
+   a pluggable sink when one is attached — in-memory for tests, JSON-lines
+   for exports.  With no sink a span is never built.  Timestamps are
+   supplied by the caller (its layer's virtual clock), so the tracer itself
+   holds no clock and recording is deterministic. *)
 
 type attr = string * string
 
@@ -17,24 +17,18 @@ type span = {
 type sink = span -> unit
 
 type t = {
-  capacity : int;
-  ring : span option array;
-  mutable next : int; (* ring write cursor *)
   mutable recorded : int; (* total spans ever recorded *)
   mutable sink : sink option;
 }
 
-let create ?(capacity = 4096) () =
-  { capacity = max 1 capacity; ring = Array.make (max 1 capacity) None; next = 0; recorded = 0; sink = None }
-
+let create () = { recorded = 0; sink = None }
 let set_sink t sink = t.sink <- sink
 
 let record t ~name ~begin_ns ~end_ns ?(attrs = []) () =
-  let span = { sp_name = name; sp_begin_ns = begin_ns; sp_end_ns = end_ns; sp_attrs = attrs } in
-  t.ring.(t.next) <- Some span;
-  t.next <- (t.next + 1) mod t.capacity;
   t.recorded <- t.recorded + 1;
-  match t.sink with None -> () | Some sink -> sink span
+  match t.sink with
+  | None -> ()
+  | Some sink -> sink { sp_name = name; sp_begin_ns = begin_ns; sp_end_ns = end_ns; sp_attrs = attrs }
 
 (* Time [f] on [clock] and record the span around it. *)
 let with_span t ~clock ?attrs name f =
@@ -43,23 +37,7 @@ let with_span t ~clock ?attrs name f =
   record t ~name ~begin_ns ~end_ns:(Repro_util.Clock.now_ns clock) ?attrs ();
   result
 
-(* Ring contents, oldest first. *)
-let spans t =
-  let out = ref [] in
-  for i = t.capacity - 1 downto 0 do
-    match t.ring.((t.next + i) mod t.capacity) with
-    | Some s -> out := s :: !out
-    | None -> ()
-  done;
-  !out
-
 let recorded t = t.recorded
-let dropped t = max 0 (t.recorded - t.capacity)
-
-let clear t =
-  Array.fill t.ring 0 t.capacity None;
-  t.next <- 0;
-  t.recorded <- 0
 
 (* --- sinks --------------------------------------------------------------- *)
 
@@ -78,7 +56,7 @@ let buffer_sink buf s =
   Buffer.add_char buf '\n'
 
 (* In-memory sink for tests: returns the sink and a reader for everything
-   it has seen (unbounded, unlike the ring). *)
+   it has seen, oldest first. *)
 let memory_sink () =
   let seen = ref [] in
   let sink span = seen := span :: !seen in

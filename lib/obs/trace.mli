@@ -1,7 +1,8 @@
-(** Span-based tracing on the virtual clock: [(begin, end, attrs)] events
-    with ring-buffer retention and pluggable sinks (in-memory for tests,
-    JSON-lines for bench/ exports).  Timestamps come from the recording
-    site's virtual clock; the tracer holds no clock of its own. *)
+(** Span-based tracing on the virtual clock: [(begin, end, attrs)] events,
+    counted and forwarded to a pluggable sink (in-memory for tests,
+    JSON-lines for exports).  The tracer retains nothing, and with no sink
+    attached a recorded span is only counted.  Timestamps come from the
+    recording site's virtual clock; the tracer holds no clock of its own. *)
 
 type attr = string * string
 
@@ -12,14 +13,12 @@ type span = {
   sp_attrs : attr list;
 }
 
-(** A sink sees every recorded span, even those later overwritten in the
-    ring. *)
+(** A sink sees every span recorded while it is attached. *)
 type sink = span -> unit
 
 type t
 
-(** [capacity] bounds ring retention (default 4096 spans). *)
-val create : ?capacity:int -> unit -> t
+val create : unit -> t
 
 val set_sink : t -> sink option -> unit
 
@@ -29,21 +28,13 @@ val record :
 (** Time [f] on [clock] and record the span around it. *)
 val with_span : t -> clock:Repro_util.Clock.t -> ?attrs:attr list -> string -> (unit -> 'a) -> 'a
 
-(** Retained spans, oldest first. *)
-val spans : t -> span list
-
-(** Total spans ever recorded. *)
+(** Total spans ever recorded, with or without a sink. *)
 val recorded : t -> int
-
-(** Spans evicted from the ring ([recorded - capacity], floored at 0). *)
-val dropped : t -> int
-
-val clear : t -> unit
 
 (** JSON-lines export: append each span to a buffer as one compact JSON
     object [{"name", "begin_ns", "end_ns", "attrs"}] per line. *)
 val buffer_sink : Buffer.t -> sink
 
-(** In-memory sink plus a reader of everything it has seen (unbounded,
-    unlike the ring). *)
+(** In-memory sink plus a reader of everything it has seen, oldest
+    first. *)
 val memory_sink : unit -> sink * (unit -> span list)

@@ -89,35 +89,24 @@ let test_json_deterministic () =
     (let a = String.index j1 'a' and b = String.index j1 'b' in
      a < b)
 
-(* --- Trace: ring, sinks, with_span --------------------------------------- *)
-
-let test_trace_ring () =
-  let tr = Trace.create ~capacity:4 () in
-  for i = 1 to 6 do
-    Trace.record tr ~name:(Printf.sprintf "s%d" i) ~begin_ns:(Int64.of_int i)
-      ~end_ns:(Int64.of_int (i + 1)) ()
-  done;
-  check_i "recorded" 6 (Trace.recorded tr);
-  check_i "dropped" 2 (Trace.dropped tr);
-  Alcotest.(check (list string)) "oldest first, ring keeps last 4"
-    [ "s3"; "s4"; "s5"; "s6" ]
-    (List.map (fun sp -> sp.Trace.sp_name) (Trace.spans tr));
-  Trace.clear tr;
-  check_i "cleared" 0 (List.length (Trace.spans tr))
+(* --- Trace: sinks, with_span ----------------------------------------------- *)
 
 let test_trace_sink_sees_everything () =
-  let tr = Trace.create ~capacity:2 () in
+  let tr = Trace.create () in
+  (* spans recorded before a sink is attached are counted, not kept *)
+  Trace.record tr ~name:"early" ~begin_ns:0L ~end_ns:1L ();
   let sink, seen = Trace.memory_sink () in
   Trace.set_sink tr (Some sink);
   for i = 1 to 5 do
     Trace.record tr ~name:"s" ~begin_ns:0L ~end_ns:(Int64.of_int i) ()
   done;
-  (* ring retains 2, the sink saw all 5 including the overwritten ones *)
-  check_i "ring bounded" 2 (List.length (Trace.spans tr));
-  check_i "sink unbounded" 5 (List.length (seen ()))
+  check_i "recorded" 6 (Trace.recorded tr);
+  check_i "sink saw every span recorded while attached" 5 (List.length (seen ()))
 
 let test_trace_with_span () =
   let tr = Trace.create () in
+  let sink, seen = Trace.memory_sink () in
+  Trace.set_sink tr (Some sink);
   let clock = Clock.create () in
   Clock.consume_int clock 100;
   let v = Trace.with_span tr ~clock ~attrs:[ ("k", "v") ] "work" (fun () ->
@@ -125,7 +114,7 @@ let test_trace_with_span () =
       42)
   in
   check_i "result" 42 v;
-  match Trace.spans tr with
+  match seen () with
   | [ sp ] ->
       check_s "name" "work" sp.Trace.sp_name;
       check_b "begin" true (sp.Trace.sp_begin_ns = 100L);
@@ -293,7 +282,6 @@ let () =
         ] );
       ( "trace",
         [
-          Alcotest.test_case "ring retention" `Quick test_trace_ring;
           Alcotest.test_case "sink sees all" `Quick test_trace_sink_sees_everything;
           Alcotest.test_case "with_span" `Quick test_trace_with_span;
           Alcotest.test_case "jsonl sink" `Quick test_trace_jsonl;

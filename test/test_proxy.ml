@@ -79,6 +79,8 @@ let test_duplex_echo () =
 
 let test_backend_down_refuses_loudly () =
   let k, init = boot () in
+  let sink, spans = Repro_obs.Trace.memory_sink () in
+  Repro_obs.Trace.set_sink (Repro_obs.Obs.tracer k.Kernel.obs) (Some sink);
   let plane = mk_plane k init in
   (* no listener behind the forwarder's backend path *)
   let fwd =
@@ -93,9 +95,8 @@ let test_backend_down_refuses_loudly () =
   (* the client observes a dead connection, not a hang *)
   check_err Errno.ECONNRESET (Kernel.read k init cfd ~len:16);
   (* the refusal left a trace event *)
-  let spans = Repro_obs.Trace.spans (Repro_obs.Obs.tracer k.Kernel.obs) in
   check_b "trace event" true
-    (List.exists (fun sp -> sp.Repro_obs.Trace.sp_name = "proxy.refused") spans);
+    (List.exists (fun sp -> sp.Repro_obs.Trace.sp_name = "proxy.refused") (spans ()));
   Proxy.close plane
 
 (* --- half-close ordering ---------------------------------------------------- *)
