@@ -26,14 +26,13 @@ type t
     behaviour) disables it.  [valid_ns] = (entry, attr) validity windows
     stamped into READDIRPLUS replies.
 
-    [sched] arms the shard-locked table discipline: the inode map and the
+    [sched] runs the shard-locked table discipline: the inode map and the
     handle cache are guarded by fixed-size lock tables hash-sharded on the
     backing inode (same sharding as the FUSE dirop locks).  The guarded
     segments consume no virtual time, so the holds are zero-width —
-    semantically real, timing-free.  Omitting [sched] (standalone servers
-    in unit tests) skips the brackets. *)
+    semantically real, timing-free. *)
 val create :
-  ?sched:Repro_sched.Sched.t ->
+  sched:Repro_sched.Sched.t ->
   kernel:Kernel.t ->
   proc:Proc.t ->
   root_path:string ->

@@ -35,30 +35,21 @@ type t = {
 
 type ticket = Rpc.id
 
-let daemon t = t.c_daemon
-
-let in_process d =
+let make d transport =
   {
     c_daemon = d;
-    c_transport = In_process;
+    c_transport = transport;
     c_next_id = 1;
     c_notifs = [];
     c_batch = None;
     c_tickets = Hashtbl.create 16;
   }
 
+let in_process d = make d In_process
+
 let connect w =
-  let ws =
-    { ws_wire = w; ws_fd = -1; ws_reader = Rpc.reader (); ws_resps = Hashtbl.create 16 }
-  in
-  {
-    c_daemon = Daemon.wire_daemon w;
-    c_transport = Wire ws;
-    c_next_id = 1;
-    c_notifs = [];
-    c_batch = None;
-    c_tickets = Hashtbl.create 16;
-  }
+  make (Daemon.wire_daemon w)
+    (Wire { ws_wire = w; ws_fd = -1; ws_reader = Rpc.reader (); ws_resps = Hashtbl.create 16 })
 
 (* --- wire plumbing ------------------------------------------------- *)
 
@@ -134,17 +125,18 @@ let fresh_id t =
   t.c_next_id <- t.c_next_id + 1;
   id
 
+(* In-process: hand the decoded request straight to the daemon. *)
+let submit_local t (req : Rpc.request) =
+  let sink j = t.c_notifs <- t.c_notifs @ [ j ] in
+  match Daemon.submit t.c_daemon ~sink req with
+  | Some tk -> Hashtbl.replace t.c_tickets (Option.get req.Rpc.r_id) tk
+  | None -> ()
+
 let send_request t (req : Rpc.request) =
-  match t.c_batch with
-  | Some acc -> t.c_batch <- Some (acc @ [ req ])
-  | None -> (
-      match t.c_transport with
-      | In_process -> (
-          let sink j = t.c_notifs <- t.c_notifs @ [ j ] in
-          match Daemon.submit t.c_daemon ~sink req with
-          | Some tk -> Hashtbl.replace t.c_tickets (Option.get req.Rpc.r_id) tk
-          | None -> ())
-      | Wire ws -> wire_send t ws (Rpc.encode_request req))
+  match (t.c_batch, t.c_transport) with
+  | Some acc, _ -> t.c_batch <- Some (acc @ [ req ])
+  | None, In_process -> submit_local t req
+  | None, Wire ws -> wire_send t ws (Rpc.encode_request req)
 
 let submit t ?(params = Jsonx.Null) meth =
   let id = fresh_id t in
@@ -164,13 +156,7 @@ let flush_batch t =
       | reqs, In_process ->
           (* same envelope semantics, minus the framing: dispatch in
              order, replies claimable in any order *)
-          List.iter
-            (fun (req : Rpc.request) ->
-              let sink j = t.c_notifs <- t.c_notifs @ [ j ] in
-              match Daemon.submit t.c_daemon ~sink req with
-              | Some tk -> Hashtbl.replace t.c_tickets (Option.get req.Rpc.r_id) tk
-              | None -> ())
-            reqs)
+          List.iter (submit_local t) reqs)
 
 let batch t f =
   if t.c_batch <> None then invalid_arg "Client.batch: already batching";

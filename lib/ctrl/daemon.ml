@@ -3,10 +3,10 @@
    Split-brain by design: fibers on the daemon's scheduler own every piece
    of control-plane state (session table, admission queue, quotas,
    cancellation flags), while the data-plane verbs — attach, exec, detach,
-   recover, crash — are *actions* queued to the top level.  [pump]
-   alternates: drive fibers until they quiesce or request an action, then
-   commit the next action where the FUSE/TTY event loops can be driven
-   (those loops no-op inside foreign fibers).  Everything stays on the one
+   recover, crash — are closures queued to the top level.  [pump]
+   alternates: drive fibers until they quiesce or queue a verb, then run
+   the next verb where the FUSE/TTY event loops can be driven (those loops
+   no-op inside foreign fibers).  Everything stays on the one
    virtual clock, so identical submissions replay identically. *)
 
 open Repro_util
@@ -73,14 +73,6 @@ type sess = {
   s_ops : op Queue.t;
   s_cond : Sched.cond;
 }
-
-(* Data-plane actions, executed by [pump] at top level. *)
-type action =
-  | A_attach of Attach.Config.t * string * (Attach.session, Errno.t) result Sched.ivar
-  | A_run of Attach.session * string * (int * string) Sched.ivar
-  | A_detach of Attach.session * unit Sched.ivar
-  | A_recover of Attach.session * unit Sched.ivar
-  | A_crash of Attach.session * unit Sched.ivar
 
 (* A subscriber: the sink plus a bounded ring of undelivered events.  A
    slow transport stops draining instead of letting the daemon buffer its
@@ -149,7 +141,7 @@ and t = {
   d_config : config;
   d_sched : Sched.t;
   d_fault : Fault.t option;
-  d_actions : action Queue.t;
+  d_actions : (unit -> unit) Queue.t;  (* data-plane verbs, run by [pump] *)
   d_sessions : (int, sess) Hashtbl.t;
   mutable d_next_id : int;
   mutable d_inflight : ticket list;
@@ -222,8 +214,6 @@ let create ?(config = default_config) world =
     m_wait = Metrics.histogram metrics "ctrl.queue.wait_us";
   }
 
-let world t = t.d_world
-let config t = t.d_config
 let kernel t = t.d_world.Repro_runtime.World.kernel
 let obs t = (kernel t).Kernel.obs
 let clock t = (kernel t).Kernel.clock
@@ -241,6 +231,15 @@ let reply t p result =
 let reply_cancelled t p =
   Metrics.incr t.m_cancelled;
   reply t p (Error (Rpc.error Rpc.cancelled "request cancelled"))
+
+let no_session id = Rpc.error Rpc.no_session (Printf.sprintf "no session %d" id)
+
+(* Detach is idempotent: [already] says the session was gone before. *)
+let detached ~already =
+  Ok (Jsonx.Obj [ ("detached", Jsonx.Bool true); ("already", Jsonx.Bool already) ])
+
+(* The request id a [$/cancel] names. *)
+let cancel_target params = Option.bind (Jsonx.mem params "id") Rpc.id_of_json
 
 let errno_data e = Jsonx.Obj [ ("errno", Jsonx.Str (Errno.to_string e)) ]
 
@@ -323,33 +322,14 @@ let release_slot t sess =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Data-plane actions                                                 *)
+(* Data-plane verbs                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let act t mk =
+(* Queue the verb [f] for [pump] to run at top level; park until it has. *)
+let act t f =
   let iv = Sched.ivar () in
-  Queue.add (mk iv) t.d_actions;
+  Queue.add (fun () -> Sched.fill t.d_sched iv (f ())) t.d_actions;
   Sched.read t.d_sched iv
-
-let act_attach t cfg name = act t (fun iv -> A_attach (cfg, name, iv))
-let act_run t a cmd = act t (fun iv -> A_run (a, cmd, iv))
-let act_detach t a = act t (fun iv -> A_detach (a, iv))
-let act_recover t a = act t (fun iv -> A_recover (a, iv))
-let act_crash t a = act t (fun iv -> A_crash (a, iv))
-
-let perform t = function
-  | A_attach (cfg, name, iv) ->
-      Sched.fill t.d_sched iv (Testbed.attach t.d_world ~config:cfg name)
-  | A_run (a, cmd, iv) -> Sched.fill t.d_sched iv (Attach.run a cmd)
-  | A_detach (a, iv) ->
-      Attach.detach a;
-      Sched.fill t.d_sched iv ()
-  | A_recover (a, iv) ->
-      Attach.recover a;
-      Sched.fill t.d_sched iv ()
-  | A_crash (a, iv) ->
-      Attach.crash_server a;
-      Sched.fill t.d_sched iv ()
 
 let ctrl_fault t op =
   match t.d_fault with None -> None | Some f -> Fault.ctrl_action f ~op
@@ -380,11 +360,13 @@ let conn_dead a = a.Attach.sn_cntrfs.Repro_cntrfs.Session.conn.Repro_fuse.Conn.d
 let handle_op t sess op =
   match op with
   | Op_exec (p, _) when sess.s_state = Detached || sess.s_attach = None ->
-      reply t p (Error (Rpc.error Rpc.no_session (Printf.sprintf "no session %d" sess.s_id)))
+      reply t p (Error (no_session sess.s_id))
   | Op_exec (p, _) when p.p_cancelled -> reply_cancelled t p
   | Op_exec (p, cmd) -> (
       let a = Option.get sess.s_attach in
-      let injected = apply_ctrl_fault t "exec" ~on_crash:(fun () -> act_crash t a) in
+      let injected =
+        apply_ctrl_fault t "exec" ~on_crash:(fun () -> act t (fun () -> Attach.crash_server a))
+      in
       if p.p_cancelled then reply_cancelled t p
       else
         match injected with
@@ -398,12 +380,12 @@ let handle_op t sess op =
               (* deterministic race window: a detach submitted now lands
                  behind this op and still detaches cleanly *)
               Sched.yield t.d_sched;
-              act_recover t a;
+              act t (fun () -> Attach.recover a);
               Metrics.incr t.m_recovered;
               sess.s_state <- Active;
               emit t "session.recovered" [ ("session", Jsonx.Int sess.s_id) ]
             end;
-            let code, output = act_run t a cmd in
+            let code, output = act t (fun () -> Attach.run a cmd) in
             sess.s_execs <- sess.s_execs + 1;
             reply t p
               (Ok
@@ -414,17 +396,16 @@ let handle_op t sess op =
                       ("recovered", Jsonx.Bool recovered);
                     ])))
   | Op_detach p ->
-      if sess.s_state = Detached then
-        reply t p (Ok (Jsonx.Obj [ ("detached", Jsonx.Bool true); ("already", Jsonx.Bool true) ]))
+      if sess.s_state = Detached then reply t p (detached ~already:true)
       else begin
         (* clean even when the server is dead or mid-recovery *)
-        (match sess.s_attach with Some a -> act_detach t a | None -> ());
+        (match sess.s_attach with Some a -> act t (fun () -> Attach.detach a) | None -> ());
         sess.s_state <- Detached;
         release_slot t sess;
         remove t sess;
         emit t "session.detached"
           [ ("session", Jsonx.Int sess.s_id); ("tenant", Jsonx.Str sess.s_tenant) ];
-        reply t p (Ok (Jsonx.Obj [ ("detached", Jsonx.Bool true); ("already", Jsonx.Bool false) ]))
+        reply t p (detached ~already:false)
       end
 
 let rec serve t sess =
@@ -444,10 +425,8 @@ let drain_ops t sess =
   Queue.iter
     (fun op ->
       match op with
-      | Op_exec (p, _) ->
-          reply t p (Error (Rpc.error Rpc.no_session (Printf.sprintf "no session %d" sess.s_id)))
-      | Op_detach p ->
-          reply t p (Ok (Jsonx.Obj [ ("detached", Jsonx.Bool true); ("already", Jsonx.Bool true) ])))
+      | Op_exec (p, _) -> reply t p (Error (no_session sess.s_id))
+      | Op_detach p -> reply t p (detached ~already:true))
     sess.s_ops;
   Queue.clear sess.s_ops
 
@@ -516,7 +495,9 @@ let create_fiber t sess p =
               cancelled ()
             end
             else
-              match act_attach t sess.s_config sess.s_container with
+              match
+                act t (fun () -> Testbed.attach t.d_world ~config:sess.s_config sess.s_container)
+              with
               | Error e ->
                   release_slot t sess;
                   sess.s_state <- Detached;
@@ -532,7 +513,7 @@ let create_fiber t sess p =
                   Metrics.incr t.m_total;
                   if sess.s_crash_pending then begin
                     sess.s_crash_pending <- false;
-                    act_crash t a
+                    act t (fun () -> Attach.crash_server a)
                   end;
                   emit t "session.created"
                     [
@@ -586,7 +567,7 @@ let find_sess t params =
   | Some id -> (
       match Hashtbl.find_opt t.d_sessions id with
       | Some sess -> Ok sess
-      | None -> Error (Rpc.error Rpc.no_session (Printf.sprintf "no session %d" id)))
+      | None -> Error (no_session id))
 
 let post_op t sess op =
   Queue.add op sess.s_ops;
@@ -666,9 +647,7 @@ let dispatch t ?sink ?sink_ready p (req : Rpc.request) =
       | None -> reply t p (Error (Rpc.error Rpc.invalid_params "missing integer param: session"))
       | Some id -> (
           match Hashtbl.find_opt t.d_sessions id with
-          | None ->
-              reply t p
-                (Ok (Jsonx.Obj [ ("detached", Jsonx.Bool true); ("already", Jsonx.Bool true) ]))
+          | None -> reply t p (detached ~already:true)
           | Some sess -> post_op t sess (Op_detach p)))
   | "session.list" ->
       let ids = Hashtbl.fold (fun id _ acc -> id :: acc) t.d_sessions [] in
@@ -694,7 +673,7 @@ let dispatch t ?sink ?sink_ready p (req : Rpc.request) =
                     ("buffer", Jsonx.Int t.d_config.c_sub_buffer);
                   ])))
   | "$/cancel" -> (
-      match Option.bind (Jsonx.mem params "id") Rpc.id_of_json with
+      match cancel_target params with
       | None -> reply t p (Error (Rpc.error Rpc.invalid_params "missing param: id"))
       | Some id ->
           let found = cancel t id in
@@ -706,10 +685,8 @@ let submit t ?sink ?sink_ready (req : Rpc.request) =
   match req.Rpc.r_id with
   | None ->
       (* notifications: only $/cancel is meaningful *)
-      (if req.Rpc.r_method = "$/cancel" then
-         match Option.bind (Jsonx.mem req.Rpc.r_params "id") Rpc.id_of_json with
-         | Some id -> ignore (cancel t id)
-         | None -> ());
+      if req.Rpc.r_method = "$/cancel" then
+        Option.iter (fun id -> ignore (cancel t id)) (cancel_target req.Rpc.r_params);
       None
   | Some id ->
       let p = { p_rid = id; p_cancelled = false; p_resp = None } in
@@ -816,8 +793,7 @@ let wire_admit t wc ~sink ~sink_ready (req : Rpc.request) =
 let handle_frame t wc ~sink ~sink_ready payload =
   let now r = Queue.push r wc.wc_now in
   match Rpc.decode_incoming payload with
-  | Error e -> now { Rpc.p_id = None; p_result = Error e }
-  | Ok (Rpc.Single (Error e)) -> now { Rpc.p_id = None; p_result = Error e }
+  | Error e | Ok (Rpc.Single (Error e)) -> now { Rpc.p_id = None; p_result = Error e }
   | Ok (Rpc.Single (Ok (Rpc.Response _))) -> () (* clients don't call us back *)
   | Ok (Rpc.Single (Ok (Rpc.Request req))) -> (
       match wire_admit t wc ~sink ~sink_ready req with
@@ -1014,8 +990,8 @@ let pump t =
     Sched.drive_main t.d_sched (fun () ->
         (not (Queue.is_empty t.d_actions)) || Sched.pending_events t.d_sched = 0);
     match Queue.take_opt t.d_actions with
-    | Some a ->
-        perform t a;
+    | Some verb ->
+        verb ();
         loop ()
     | None ->
         (* in-process subscribers (always ready) drain here even when no
@@ -1051,48 +1027,11 @@ let response t tk =
   in
   go ()
 
-let handle_text t ?sink text =
-  let err e = Some (Rpc.encode_response { Rpc.p_id = None; p_result = Error e }) in
-  match Rpc.decode_incoming text with
-  | Error e -> err e
-  | Ok (Rpc.Single (Error e)) -> err e
-  | Ok (Rpc.Single (Ok (Rpc.Response _))) -> None
-  | Ok (Rpc.Single (Ok (Rpc.Request req))) -> (
-      match submit t ?sink req with
-      | None ->
-          pump t;
-          None
-      | Some tk -> Some (Rpc.encode_response (response t tk)))
-  | Ok (Rpc.Batch elems) -> (
-      (* per-element validation: a malformed element answers in place,
-         well-formed neighbours still dispatch; notifications are elided
-         from the reply array (JSON-RPC 2.0 §6) *)
-      let slots =
-        List.filter_map
-          (function
-            | Error e -> Some (`Now { Rpc.p_id = None; p_result = Error e })
-            | Ok (Rpc.Response _) -> None
-            | Ok (Rpc.Request req) -> (
-                match submit t ?sink req with
-                | Some tk -> Some (`Wait tk)
-                | None -> None))
-          elems
-      in
-      match slots with
-      | [] ->
-          pump t;
-          None
-      | slots ->
-          let rs =
-            List.map (function `Now r -> r | `Wait tk -> response t tk) slots
-          in
-          Some (Rpc.encode_responses rs))
-
 (* ------------------------------------------------------------------ *)
 (* Wire serving                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let wire_serve t ?mode ~path () =
+let wire_serve t ~path () =
   ignore (wire_metrics t);
   let kernel = k t in
   let init = Kernel.init_proc kernel in
@@ -1102,7 +1041,7 @@ let wire_serve t ?mode ~path () =
   cproc.Proc.comm <- "cntr-cli";
   let pproc = Kernel.fork kernel init in
   pproc.Proc.comm <- "cntrd-rpc";
-  let plane = Proxy.create ?mode ~kernel ~proc:pproc () in
+  let plane = Proxy.create ~kernel ~proc:pproc () in
   (* best-effort parent dir (e.g. /run) so callers don't need setup *)
   (match String.rindex_opt path '/' with
   | Some i when i > 0 ->

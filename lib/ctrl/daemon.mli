@@ -10,12 +10,13 @@
 
     Control-plane state (admission, quotas, cancellation, fault delays)
     lives in fibers on the daemon's own scheduler; the data-plane verbs
-    (attach / exec / detach / recover) are emitted as actions that
-    {!pump} executes one at a time at top level, where the FUSE
-    connection's event loop can be driven.  [pump] alternates between
-    driving fibers to quiescence and committing the next pending action,
-    so virtual time stays deterministic: same submissions, same
-    interleaving, byte-identical metrics.
+    (attach / exec / detach / recover / crash) are queued as closures that
+    {!pump} runs one at a time at top level, where the FUSE connection's
+    event loop can be driven, while the fiber that queued each one parks
+    on its result.  [pump] alternates between driving fibers to
+    quiescence and running the next queued verb, so virtual time stays
+    deterministic: same submissions, same interleaving, byte-identical
+    metrics.
 
     {2 Methods}
 
@@ -75,11 +76,14 @@ type t
 (** The daemon drives sessions against [world]'s kernel and engines. *)
 val create : ?config:config -> Repro_runtime.World.t -> t
 
-val world : t -> Repro_runtime.World.t
-val config : t -> config
 val obs : t -> Repro_obs.Obs.t
 
-(** {1 Request path} *)
+(** {1 Request path}
+
+    There is one request path.  The in-process transport hands decoded
+    requests to {!submit}; the wire transport ({!wire_serve}) decodes
+    each Content-Length frame — a single message or a batch envelope —
+    and submits every well-formed request in it. *)
 
 (** Handle on one in-flight request. *)
 type ticket
@@ -111,15 +115,6 @@ exception Stalled of string
 (** [pump] until the reply exists. *)
 val response : t -> ticket -> Rpc.response
 
-(** Decode raw text, dispatch, pump to completion; the encoded reply
-    ([None] for notifications).  Malformed input yields an error reply
-    with a [null] id, exactly like the wire path.  A batch envelope
-    (top-level array) dispatches every element and answers with one
-    order-preserving reply array — per-element errors in place,
-    notifications elided, no reply at all when every element was a
-    notification. *)
-val handle_text : t -> ?sink:(Jsonx.t -> unit) -> string -> string option
-
 (** {1 Wire transport}
 
     Each accepted connection is pipelined: any number of id-carrying
@@ -127,7 +122,11 @@ val handle_text : t -> ?sink:(Jsonx.t -> unit) -> string -> string option
     overflow is refused with [-32005]), and replies flush as they
     resolve — out of submission order when a later request finishes
     first.  Batch envelopes dispatch element-at-a-time and flush as one
-    order-preserving reply array.  Write-side flow control stalls a
+    order-preserving reply array: a malformed element answers in place
+    with a [null] id, notifications are elided, and an envelope of
+    notifications only gets no reply frame.  A malformed message, or a
+    frame whose header is not a valid Content-Length, gets a [null]-id
+    error reply and the connection keeps serving.  Write-side flow control stalls a
     connection whose framed backlog reaches [c_wire_high] (no reads, no
     buffered replies or events) until it drains to [c_wire_low]; a
     stalled client never wedges the other connections.
@@ -150,8 +149,7 @@ type wire
     forwarding plane under the ["rpc"] label
     ([proxy.fwd.rpc.bytes.{c2b,b2c}]).  {!pump} services accepted
     connections round-robin. *)
-val wire_serve :
-  t -> ?mode:Repro_proxy.Proxy.mode -> path:string -> unit -> (wire, Errno.t) result
+val wire_serve : t -> path:string -> unit -> (wire, Errno.t) result
 
 val wire_path : wire -> string
 

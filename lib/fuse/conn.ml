@@ -238,7 +238,8 @@ let splices t = function
   | Protocol.Write _ -> t.splice_write
   | _ -> false
 
-(* Count one payload leg between kernel and server. *)
+(* Count one payload leg between kernel and server; a spliced leg is one
+   splice call. *)
 let count_leg t km ~splice ~to_server bytes =
   if to_server then begin
     Metrics.add t.m_bytes_to bytes;
@@ -248,7 +249,11 @@ let count_leg t km ~splice ~to_server bytes =
     Metrics.add t.m_bytes_from bytes;
     Metrics.add km.km_from bytes
   end;
-  Metrics.add (if splice then t.m_spliced else t.m_copied) bytes
+  if splice then begin
+    Metrics.add t.m_spliced bytes;
+    splice_note t bytes
+  end
+  else Metrics.add t.m_copied bytes
 
 (* Transfer one payload leg of [item].  Both regimes charge through the
    shared Datapath model: splice pays setup + per-page remap (the same
@@ -257,11 +262,8 @@ let count_leg t km ~splice ~to_server bytes =
 let transfer t item ~to_server bytes =
   let splice = splices t item.it_req in
   count_leg t item.it_km ~splice ~to_server bytes;
-  if splice then begin
-    Clock.consume_int t.clock (Repro_os.Datapath.splice_ns t.cost bytes);
-    splice_note t bytes
-  end
-  else Clock.consume_int t.clock (Repro_os.Datapath.copy_ns t.cost bytes)
+  Clock.consume_int t.clock
+    ((if splice then Repro_os.Datapath.splice_ns else Repro_os.Datapath.copy_ns) t.cost bytes)
 
 (* Resolve an item's reply with ENOTCONN (if anyone still waits for it) and
    drop its in-flight accounting — the crash path for queued requests. *)
@@ -645,12 +647,9 @@ let call_background t ctx req =
   Metrics.incr t.m_round_trips;
   Metrics.add t.m_ctx_switches 2;
   let splice = splices t req in
-  let out_bytes = Protocol.req_payload_bytes req in
-  count_leg t km ~splice ~to_server:true out_bytes;
+  count_leg t km ~splice ~to_server:true (Protocol.req_payload_bytes req);
   let resp = (Option.get t.handler) ctx req in
-  let in_bytes = Protocol.resp_payload_bytes resp in
-  count_leg t km ~splice ~to_server:false in_bytes;
-  if splice then splice_note t (out_bytes + in_bytes);
+  count_leg t km ~splice ~to_server:false (Protocol.resp_payload_bytes resp);
   resp
 
 (* Arm supervision: a fault plane to consult while serving, and/or a

@@ -37,23 +37,8 @@ let size t = List.fold_left (fun acc l -> acc + Layer.size l) 0 t.layers
 let file_count t =
   List.fold_left (fun acc l -> acc + List.length (Layer.paths l)) 0 t.layers
 
-(* All paths present after union (whiteouts applied). *)
-let effective_paths t =
-  let present = Hashtbl.create 256 in
-  List.iter
-    (fun layer ->
-      List.iter
-        (function
-          | Layer.Whiteout p -> Hashtbl.remove present p
-          | Layer.Dir { path; _ } | Layer.File { path; _ } | Layer.Symlink { path; _ } ->
-              Hashtbl.replace present path ())
-        layer.Layer.entries)
-    t.layers;
-  Hashtbl.fold (fun p () acc -> p :: acc) present []
-  |> List.sort compare
-
-(* Winning entry per path after union — the static view a partitioner
-   walks without materializing the image. *)
+(* Winning entry per path after union (whiteouts applied) — the static
+   view a partitioner walks without materializing the image. *)
 let effective_entries t =
   let entries = Hashtbl.create 256 in
   List.iter
@@ -68,23 +53,11 @@ let effective_entries t =
     t.layers;
   entries
 
-(* Effective size per path after union. *)
-let effective_sizes t =
-  let sizes = Hashtbl.create 256 in
-  List.iter
-    (fun layer ->
-      List.iter
-        (function
-          | Layer.Whiteout p -> Hashtbl.remove sizes p
-          | Layer.Dir { path; _ } -> Hashtbl.replace sizes path 0
-          | Layer.File { path; content; _ } -> Hashtbl.replace sizes path (Content.size content)
-          | Layer.Symlink { path; target } -> Hashtbl.replace sizes path (String.length target))
-        layer.Layer.entries)
-    t.layers;
-  sizes
+let effective_paths t =
+  Hashtbl.fold (fun p _ acc -> p :: acc) (effective_entries t) [] |> List.sort compare
 
 let effective_size t =
-  Hashtbl.fold (fun _ s acc -> acc + s) (effective_sizes t) 0
+  Hashtbl.fold (fun _ e acc -> acc + Layer.entry_size e) (effective_entries t) 0
 
 let ( let* ) = Result.bind
 

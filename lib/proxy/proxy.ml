@@ -105,9 +105,7 @@ type t = {
   m_datapath : Metrics.counter;
 }
 
-let mode t = t.px_mode
 let proc t = t.px_proc
-let sched t = t.px_sched
 let connection_count fw = fw.fw_proxied
 
 (* A fiber that dies takes the whole plane's credibility with it: remember
@@ -668,10 +666,8 @@ let close t =
     raise_error t
   end
 
-let create ?(mode = Splice) ?(buffer = default_buffer) ?sched ?fault ~kernel ~proc () =
-  let sched =
-    match sched with Some s -> s | None -> Sched.create ~clock:kernel.Kernel.clock
-  in
+let create ?(mode = Splice) ?(buffer = default_buffer) ?fault ~kernel ~proc () =
+  let sched = Sched.create ~clock:kernel.Kernel.clock in
   let metrics = Repro_obs.Obs.metrics kernel.Kernel.obs in
   let epfd = Kernel.epoll_create kernel proc in
   let t =

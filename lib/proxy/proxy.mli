@@ -41,24 +41,20 @@ type mode = Splice | Copy
 type t
 
 (** [create ~kernel ~proc ()] builds a plane whose fds live in [proc] and
-    spawns its reactor.  [sched] defaults to a fresh scheduler on the
-    kernel's clock, keeping event ordering independent of other
-    subsystems' schedulers; [buffer] bounds in-flight bytes per direction
-    (default 64 KiB); [fault] attaches an armed plan consulted at the
-    [proxy] site. *)
+    spawns its reactor on a scheduler of its own over the kernel's clock,
+    keeping event ordering independent of other subsystems' schedulers;
+    [buffer] bounds in-flight bytes per direction (default 64 KiB);
+    [fault] attaches an armed plan consulted at the [proxy] site. *)
 val create :
   ?mode:mode ->
   ?buffer:int ->
-  ?sched:Repro_sched.Sched.t ->
   ?fault:Repro_fault.Fault.t ->
   kernel:Kernel.t ->
   proc:Proc.t ->
   unit ->
   t
 
-val mode : t -> mode
 val proc : t -> Proc.t
-val sched : t -> Repro_sched.Sched.t
 
 (** A socket forwarder: a listener in the container plus an accept fiber
     that dials the host backend per client. *)

@@ -155,15 +155,18 @@ let test_rename_subtree_remap () =
   check_tree ~root:"t";
   List.iter (fun (_, fd) -> ok (Kernel.close w.k w.init fd)) fds
 
-(* A standalone server (no scheduler, no driver): requests go straight to
-   [Server.handle], so no FORGET is ever sent. *)
+(* A standalone server (its own scheduler, no driver): requests go
+   straight to [Server.handle], so no FORGET is ever sent. *)
 let standalone_server () =
   let clock = Clock.create () in
   let rootfs = Nativefs.create ~name:"rootfs" ~clock ~cost:Cost.default Store.Ram () in
   let k = Kernel.create ~clock ~cost:Cost.default ~root_fs:(Nativefs.ops rootfs) () in
   let init = Kernel.init_proc k in
   ok (Kernel.mkdir k init "/fat" ~mode:0o755);
-  let server = Server.create ~kernel:k ~proc:(Kernel.fork k init) ~root_path:"/fat" () in
+  let server =
+    Server.create ~sched:(Repro_sched.Sched.create ~clock) ~kernel:k ~proc:(Kernel.fork k init)
+      ~root_path:"/fat" ()
+  in
   (k, init, server)
 
 let serve server req = Server.handle server Protocol.root_ctx req

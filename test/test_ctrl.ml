@@ -45,6 +45,74 @@ let counter world name =
 let gauge world name =
   Metrics.gauge_value (Repro_obs.Obs.metrics world.World.kernel.Repro_os.Kernel.obs) name
 
+let wire_boot ?config () =
+  let world = boot () in
+  let d = Daemon.create ?config world in
+  let w = ok (Daemon.wire_serve d ~path:"/run/cntrd.sock" ()) in
+  (world, d, w)
+
+(* --- raw frames --------------------------------------------------------------- *)
+
+(* A wire connection driven byte for byte, so what is under test is the
+   daemon's wire decoder, with no [Client] reply table in between. *)
+type raw = {
+  rw_d : Daemon.t;
+  rw_kernel : Kernel.t;
+  rw_proc : Repro_os.Proc.t;
+  rw_fd : int;
+  rw_reader : Rpc.reader;
+}
+
+let raw_connect d w =
+  let kernel = Daemon.kernel d and proc = Daemon.wire_client_proc w in
+  let fd = ok (Kernel.socket_connect kernel proc (Daemon.wire_path w)) in
+  Daemon.pump d;
+  { rw_d = d; rw_kernel = kernel; rw_proc = proc; rw_fd = fd; rw_reader = Rpc.reader () }
+
+(* Write [s] as is, pumping the daemon while the socket is full. *)
+let rec raw_write r s =
+  if String.length s > 0 then
+    match Kernel.write r.rw_kernel r.rw_proc r.rw_fd s with
+    | Ok k when k > 0 -> raw_write r (String.sub s k (String.length s - k))
+    | _ ->
+        Daemon.pump r.rw_d;
+        raw_write r s
+
+let raw_send r text = raw_write r (Rpc.frame text)
+
+(* Pump the daemon and read reply frames until [enough] have arrived or 64
+   pumps in a row bring no bytes (the daemon has quiesced); the payloads
+   in arrival order. *)
+let raw_recv ?(enough = max_int) r =
+  let rec frames acc =
+    match Rpc.next r.rw_reader with
+    | `Frame p -> frames (p :: acc)
+    | `Garbage _ -> Alcotest.fail "garbage framing from the daemon"
+    | `More -> acc
+  in
+  let rec go idle acc =
+    if idle > 64 || List.length acc >= enough then List.rev acc
+    else begin
+      Daemon.pump r.rw_d;
+      match Kernel.read r.rw_kernel r.rw_proc r.rw_fd ~len:65536 with
+      | Ok s when String.length s > 0 ->
+          Rpc.feed r.rw_reader s;
+          go 0 (frames acc)
+      | _ -> go (idle + 1) acc
+    end
+  in
+  go 0 []
+
+(* The one reply frame the daemon sends, once it has quiesced. *)
+let one_reply r what =
+  match raw_recv r with
+  | [ reply ] -> reply
+  | replies -> Alcotest.failf "%d reply frames for %s" (List.length replies) what
+
+let raw_call r text =
+  raw_send r text;
+  one_reply r (Printf.sprintf "%S" text)
+
 (* --- codec: qcheck round-trips --------------------------------------------- *)
 
 let gen_json =
@@ -143,16 +211,14 @@ let prop_response_roundtrip =
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e.Rpc.e_message)
 
 let test_malformed_error_replies () =
-  let world = boot () in
-  let d = Daemon.create world in
+  let _, d, w = wire_boot () in
+  let r = raw_connect d w in
   let expect_code text code =
-    match Daemon.handle_text d text with
-    | None -> Alcotest.failf "no reply for %S" text
-    | Some reply -> (
-        match Rpc.decode reply with
-        | Ok (Rpc.Response { p_id = None; p_result = Error e }) ->
-            check_i ("code for " ^ text) code e.Rpc.e_code
-        | _ -> Alcotest.failf "unexpected reply %s" reply)
+    let reply = raw_call r text in
+    match Rpc.decode reply with
+    | Ok (Rpc.Response { p_id = None; p_result = Error e }) ->
+        check_i ("code for " ^ text) code e.Rpc.e_code
+    | _ -> Alcotest.failf "unexpected reply %s" reply
   in
   expect_code "{not json" Rpc.parse_error;
   expect_code "[]" Rpc.invalid_request;
@@ -164,19 +230,36 @@ let test_malformed_error_replies () =
   expect_code "{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":7}" Rpc.invalid_request;
   expect_code "{\"jsonrpc\":\"2.0\",\"id\":1}" Rpc.invalid_request;
   (* unknown method is a real (id-carrying) error *)
-  match Daemon.handle_text d "{\"jsonrpc\":\"2.0\",\"id\":9,\"method\":\"nope\"}" with
-  | Some reply -> (
-      match Rpc.decode reply with
-      | Ok (Rpc.Response { p_id = Some (Rpc.I 9); p_result = Error e }) ->
-          check_i "method_not_found" Rpc.method_not_found e.Rpc.e_code
-      | _ -> Alcotest.failf "unexpected reply %s" reply)
-  | None -> Alcotest.fail "no reply"
+  let reply = raw_call r "{\"jsonrpc\":\"2.0\",\"id\":9,\"method\":\"nope\"}" in
+  match Rpc.decode reply with
+  | Ok (Rpc.Response { p_id = Some (Rpc.I 9); p_result = Error e }) ->
+      check_i "method_not_found" Rpc.method_not_found e.Rpc.e_code
+  | _ -> Alcotest.failf "unexpected reply %s" reply
+
+(* A frame whose header is not a valid Content-Length gets a null-id
+   parse error, and the connection goes on serving. *)
+let test_wire_framing_garbage () =
+  let _, d, w = wire_boot () in
+  let r = raw_connect d w in
+  raw_write r "Content-Length: many\r\n\r\n";
+  (let reply = one_reply r "a garbage header" in
+   match Rpc.decode reply with
+   | Ok (Rpc.Response { p_id = None; p_result = Error e }) ->
+       check_i "parse error" Rpc.parse_error e.Rpc.e_code;
+       check_s "message" "malformed framing header" e.Rpc.e_message
+   | _ -> Alcotest.failf "unexpected reply %s" reply);
+  let reply = raw_call r "{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"daemon.info\"}" in
+  match Rpc.decode reply with
+  | Ok (Rpc.Response { p_id = Some (Rpc.I 1); p_result = Ok info }) ->
+      check_s "daemon.info after garbage" "cntrd/1.0"
+        (Option.value (Jsonx.field_str info "version") ~default:"")
+  | _ -> Alcotest.failf "unexpected reply %s" reply
 
 (* --- batch envelopes (JSON-RPC 2.0 §6) -------------------------------------- *)
 
-let test_batch_handle_text () =
-  let world = boot () in
-  let d = Daemon.create world in
+let test_batch_envelopes () =
+  let _, d, w = wire_boot () in
+  let r = raw_connect d w in
   (* mixed batch: call, notification, malformed element, call — one
      order-preserving reply array; the notification is elided, the
      malformed element answers in place with a null id *)
@@ -186,10 +269,8 @@ let test_batch_handle_text () =
     ^ "7,"
     ^ "{\"jsonrpc\":\"2.0\",\"id\":2,\"method\":\"session.list\"}]"
   in
-  (match Daemon.handle_text d text with
-  | None -> Alcotest.fail "expected a reply array"
-  | Some reply -> (
-      match Rpc.decode_incoming reply with
+  (let reply = raw_call r text in
+   match Rpc.decode_incoming reply with
       | Ok (Rpc.Batch [ a; b; c ]) ->
           (match a with
           | Ok (Rpc.Response { p_id = Some (Rpc.I 1); p_result = Ok info }) ->
@@ -203,26 +284,22 @@ let test_batch_handle_text () =
           (match c with
           | Ok (Rpc.Response { p_id = Some (Rpc.I 2); p_result = Ok _ }) -> ()
           | _ -> Alcotest.fail "slot 3: expected the session.list result")
-      | _ -> Alcotest.failf "expected a 3-element reply array, got %s" reply));
+      | _ -> Alcotest.failf "expected a 3-element reply array, got %s" reply);
   (* an all-notification batch gets no reply frame at all *)
-  check_b "all-notification batch elided" true
-    (Daemon.handle_text d
-       "[{\"jsonrpc\":\"2.0\",\"method\":\"$/cancel\",\"params\":{\"id\":1}}]"
-    = None);
+  raw_send r "[{\"jsonrpc\":\"2.0\",\"method\":\"$/cancel\",\"params\":{\"id\":1}}]";
+  check_b "all-notification batch elided" true (raw_recv r = []);
   (* all-malformed batch: every element answers, order preserved *)
-  match Daemon.handle_text d "[1,2,3]" with
-  | None -> Alcotest.fail "expected per-element errors"
-  | Some reply -> (
-      match Rpc.decode_incoming reply with
-      | Ok (Rpc.Batch elems) ->
-          check_i "three error slots" 3 (List.length elems);
-          List.iter
-            (function
-              | Ok (Rpc.Response { p_id = None; p_result = Error e }) ->
-                  check_i "per-element invalid_request" Rpc.invalid_request e.Rpc.e_code
-              | _ -> Alcotest.fail "expected null-id errors")
-            elems
-      | _ -> Alcotest.failf "expected a reply array, got %s" reply)
+  let reply = raw_call r "[1,2,3]" in
+  match Rpc.decode_incoming reply with
+  | Ok (Rpc.Batch elems) ->
+      check_i "three error slots" 3 (List.length elems);
+      List.iter
+        (function
+          | Ok (Rpc.Response { p_id = None; p_result = Error e }) ->
+              check_i "per-element invalid_request" Rpc.invalid_request e.Rpc.e_code
+          | _ -> Alcotest.fail "expected null-id errors")
+        elems
+  | _ -> Alcotest.failf "expected a reply array, got %s" reply
 
 (* --- lifecycle over both transports ---------------------------------------- *)
 
@@ -569,12 +646,6 @@ let test_subscribe_bounded_buffer () =
 
 (* --- wire plane: pipelining, batching, flow control --------------------------- *)
 
-let wire_boot ?config () =
-  let world = boot () in
-  let d = Daemon.create ?config world in
-  let w = ok (Daemon.wire_serve d ~path:"/run/cntrd.sock" ()) in
-  (world, d, w)
-
 let test_wire_batch_roundtrip () =
   let world, _d, w = wire_boot () in
   let c = Client.connect w in
@@ -675,28 +746,15 @@ let prop_wire_overload_exactly_once =
   QCheck.Test.make ~name:"wire overload: every id answered exactly once" ~count:15
     QCheck.(pair (int_range 1 6) (int_range 1 40))
     (fun (cap, n) ->
-      let world = boot () in
-      let config = { Daemon.default_config with Daemon.c_wire_inflight = cap } in
-      let d = Daemon.create ~config world in
-      let w = Result.get_ok (Daemon.wire_serve d ~path:"/run/cntrd.sock" ()) in
-      let kernel = Daemon.kernel d in
-      let proc = Daemon.wire_client_proc w in
-      let fd = Result.get_ok (Kernel.socket_connect kernel proc (Daemon.wire_path w)) in
-      Daemon.pump d;
-      (* queue the whole burst before the daemon sees any of it *)
-      let rec write_all s =
-        if String.length s > 0 then
-          match Kernel.write kernel proc fd s with
-          | Ok k when k > 0 -> write_all (String.sub s k (String.length s - k))
-          | _ ->
-              Daemon.pump d;
-              write_all s
+      let _, d, w =
+        wire_boot ~config:{ Daemon.default_config with Daemon.c_wire_inflight = cap } ()
       in
+      let r = raw_connect d w in
+      (* queue the whole burst before the daemon sees any of it *)
       for i = 1 to n do
-        write_all
-          (Rpc.frame
-             (Rpc.encode_request
-                { Rpc.r_id = Some (Rpc.I i); r_method = "daemon.info"; r_params = Jsonx.Null }))
+        raw_send r
+          (Rpc.encode_request
+             { Rpc.r_id = Some (Rpc.I i); r_method = "daemon.info"; r_params = Jsonx.Null })
       done;
       let seen = Hashtbl.create 64 in
       (* id -> (results, refusals) *)
@@ -712,31 +770,14 @@ let prop_wire_overload_exactly_once =
             | Error e -> QCheck.Test.fail_reportf "unexpected error %d" e.Rpc.e_code)
         | _ -> QCheck.Test.fail_reportf "unexpected frame from the daemon"
       in
-      let reader = Rpc.reader () in
-      let answered () = Hashtbl.fold (fun _ (a, b) acc -> acc + a + b) seen 0 in
-      let rec drain idle =
-        if idle <= 64 && answered () < n then begin
-          Daemon.pump d;
-          match Kernel.read kernel proc fd ~len:65536 with
-          | Ok s when String.length s > 0 ->
-              Rpc.feed reader s;
-              let rec frames () =
-                match Rpc.next reader with
-                | `Frame p ->
-                    (match Rpc.decode_incoming p with
-                    | Ok (Rpc.Single m) -> record m
-                    | Ok (Rpc.Batch ms) -> List.iter record ms
-                    | Error _ -> QCheck.Test.fail_reportf "undecodable reply frame");
-                    frames ()
-                | `Garbage _ -> QCheck.Test.fail_reportf "garbage framing from the daemon"
-                | `More -> ()
-              in
-              frames ();
-              drain 0
-          | _ -> drain (idle + 1)
-        end
-      in
-      drain 0;
+      (* every request is its own frame, so every reply is one too *)
+      List.iter
+        (fun p ->
+          match Rpc.decode_incoming p with
+          | Ok (Rpc.Single m) -> record m
+          | Ok (Rpc.Batch ms) -> List.iter record ms
+          | Error _ -> QCheck.Test.fail_reportf "undecodable reply frame")
+        (raw_recv ~enough:n r);
       let refused = Hashtbl.fold (fun _ (_, b) acc -> acc + b) seen 0 in
       if n > cap && refused = 0 then
         QCheck.Test.fail_reportf "burst of %d over cap %d was never refused" n cap;
@@ -805,8 +846,8 @@ let () =
         ] );
       ( "wire",
         [
-          Alcotest.test_case "batch envelopes via handle_text" `Quick
-            test_batch_handle_text;
+          Alcotest.test_case "batch envelopes on raw frames" `Quick test_batch_envelopes;
+          Alcotest.test_case "framing garbage" `Quick test_wire_framing_garbage;
           Alcotest.test_case "batched verbs over the wire" `Quick
             test_wire_batch_roundtrip;
           Alcotest.test_case "out-of-order pipelined replies" `Quick

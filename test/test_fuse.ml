@@ -186,6 +186,22 @@ let test_splice_write_pricing () =
          Conn.post w.session.Session.conn Protocol.root_ctx (Protocol.Forget []);
          Session.quiesce w.session))
 
+let test_splice_calls_per_leg () =
+  (* a spliced round trip is two splice calls, one per leg, whether the
+     WRITE goes out in the foreground (write-through) or is flushed in the
+     background writeback window *)
+  let two_per_write name opts =
+    let w = boot ~opts:{ opts with Opts.splice_read = false; splice_write = true } () in
+    let fd = ok (Kernel.open_ w.k w.init "/mnt/out" [ Types.O_CREAT; Types.O_WRONLY ] ~mode:0o644) in
+    let calls0 = metric w "fuse.splice.calls" and writes0 = kind_count w "write" in
+    ignore (ok (Kernel.pwrite w.k w.init fd ~off:0 (String.make (256 * 1024) 'w')));
+    let writes = kind_count w "write" - writes0 in
+    check_b (name ^ ": WRITEs sent") true (writes > 0);
+    check_i (name ^ ": splice calls") (2 * writes) (metric w "fuse.splice.calls" - calls0)
+  in
+  two_per_write "foreground" { Opts.cntr_default with Opts.writeback = false };
+  two_per_write "writeback window" { Opts.cntr_default with Opts.wb_flush_interval_ns = 1 }
+
 let test_splice_bytes_follow_modes () =
   (* READ payloads move as splice_read says, WRITE payloads as splice_write
      says; every other request copies *)
@@ -787,6 +803,7 @@ let () =
           Alcotest.test_case "splice read cost-bearing" `Quick test_splice_read_cost_bearing;
           Alcotest.test_case "splice write pricing" `Quick test_splice_write_pricing;
           Alcotest.test_case "splice bytes follow modes" `Quick test_splice_bytes_follow_modes;
+          Alcotest.test_case "splice calls per leg" `Quick test_splice_calls_per_leg;
         ] );
       ( "passthrough",
         [
